@@ -19,6 +19,7 @@ two-stage gluings compose, and that disjoint union matches tensor product.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -41,11 +42,11 @@ from .tensor import (
     SignedIndex,
     contract_between,
     contract_within,
-    scalar_one,
 )
-from .tqft import TqftData, annulus_tensor, base_invariants, check_relations
+from .tqft import _CLOSED_FORM, TqftData, check_relations
 
-EXCEPTIONAL = {(0, 0), (0, 1), (0, 2), (1, 0)}
+# Shapes with no pants decomposition, and their entries in the closed-form table.
+EXCEPTIONAL = {(0, 0): "sphere", (0, 1): "disk", (0, 2): "annulus", (1, 0): "torus"}
 STRATEGIES = ("chain", "alternate")
 
 
@@ -383,12 +384,9 @@ def _finish_component(tensor: LabeledTensor,
                       boundary: Sequence[BoundaryCircle]) -> LabeledTensor:
     """Order external indices by the boundary sequence and stamp each with
     its circle's orientation sign (entries unchanged)."""
-    order = [tensor.position(c.label) for c in boundary]
-    tensor = tensor.permute_indices(order)
-    flips = [c.label for c in boundary if c.orientation is MINUS]
-    if flips:
-        tensor = tensor.flip_signs(flips)
-    return tensor
+    return apply_isomorphism(
+        tensor, [tensor.position(c.label) for c in boundary],
+        [c.label for c in boundary if c.orientation is MINUS])
 
 
 def invariant_of_decomposition(data: TqftData,
@@ -407,20 +405,13 @@ def _component_invariant(data: TqftData, component: ConnectedSurface,
                          strategy: str) -> LabeledTensor:
     g, n = component.genus, len(component.boundary)
     if (g, n) in EXCEPTIONAL:
-        table = base_invariants(data)
-        if (g, n) == (0, 0):
-            return table["sphere"]
-        if (g, n) == (1, 0):
-            return table["torus"]
-        if (g, n) == (0, 1):
-            base = LabeledTensor(
-                (SignedIndex(component.boundary[0].label, PLUS, data.dimension),),
-                data.d.entries, data.backend)
-            return _finish_component(base, component.boundary)
-        labels = [c.label for c in component.boundary]
-        base = annulus_tensor(data).flip_signs(["i"]).relabel(
-            {"i": labels[0], "j": labels[1]})
-        return _finish_component(base, component.boundary)
+        # The table's index order is the boundary order; only labels and
+        # signs change.
+        base = _CLOSED_FORM[EXCEPTIONAL[g, n]](data)
+        return LabeledTensor(
+            tuple(SignedIndex(c.label, c.orientation, data.dimension)
+                  for c in component.boundary),
+            base.entries, data.backend)
     decomposition = pants_decomposition(
         g, n, strategy, labels=[c.label for c in component.boundary])
     return invariant_of_decomposition(data, decomposition, component.boundary)
@@ -441,17 +432,21 @@ def invariant(data: TqftData, surface: Surface, *, strategy: str = "chain",
     """
     surface.require_valid()
     if require_relations:
-        report = check_relations(data, tolerance)
-        if not report.passed:
-            failed = [r.name for r in report.results if not r.passed]
-            raise RelationError(
-                f"data fails relations: {', '.join(failed)}; "
-                "pass require_relations=False to override")
-    result = LabeledTensor.scalar(scalar_one(data.backend), data.backend)
-    for component in surface.components:
-        result = result.tensor_product(
-            _component_invariant(data, component, strategy))
-    return result
+        _require_relations(data, tolerance)
+    tensors = [_component_invariant(data, component, strategy)
+               for component in surface.components]
+    if not tensors:
+        return _CLOSED_FORM["empty"](data)
+    return functools.reduce(LabeledTensor.tensor_product, tensors)
+
+
+def _require_relations(data: TqftData, tolerance: float) -> None:
+    report = check_relations(data, tolerance)
+    if not report.passed:
+        failed = [r.name for r in report.results if not r.passed]
+        raise RelationError(
+            f"data fails relations: {', '.join(failed)}; "
+            "pass require_relations=False to override")
 
 
 def closed_invariant(data: TqftData, genus: int, *,
@@ -469,16 +464,14 @@ def apply_gluing(data: TqftData, tensor: LabeledTensor,
     gluing: one + and one - index per pair disappear).
 
     Equals the invariant of the glued surface whenever `tensor` is the
-    invariant of the unglued one. The pair processing order is immaterial.
+    invariant of the unglued one. All pairs are contracted in one pass.
     """
     spec = spec if isinstance(spec, GlueSpec) else GlueSpec.of(spec)
     if tensor.rank and tensor.dimension != data.dimension:
         raise DimensionError(
             f"tensor dimension {tensor.dimension} does not match data "
             f"dimension {data.dimension}")
-    for a, b in spec.pairs:
-        tensor = tensor.contract(a, b)
-    return tensor
+    return contract_within(tensor, spec.pairs)
 
 
 def apply_isomorphism(tensor: LabeledTensor, perm: Sequence[int],
@@ -553,9 +546,8 @@ def verify_decomposition_invariance(data: TqftData, g_max: int, n_max: int,
     the only rewrites exercised.
     """
     report = VerificationReport("moves")
-    if require_relations and not check_relations(data, tolerance).passed:
-        raise RelationError("data fails relations; "
-                            "pass require_relations=False to override")
+    if require_relations:
+        _require_relations(data, tolerance)
     for g in range(g_max + 1):
         for n in range(n_max + 1):
             if 2 * g - 2 + n < 2:
@@ -626,9 +618,8 @@ def verify_functoriality(data: TqftData, trials: int, seed=0, *,
     composed spec in one shot, and the invariant of the glued surface must
     all agree."""
     report = VerificationReport("functor")
-    if require_relations and not check_relations(data, tolerance).passed:
-        raise RelationError("data fails relations; "
-                            "pass require_relations=False to override")
+    if require_relations:
+        _require_relations(data, tolerance)
     for t in range(trials):
         rng = _rng(seed, "functor", t)
         surface = random_surface(rng, prefix=f"t{t}_")
@@ -656,9 +647,8 @@ def verify_monoidal(data: TqftData, trials: int, seed=0, *,
     """Random pairs of surfaces: the invariant of the disjoint union must be
     the tensor product of the invariants."""
     report = VerificationReport("monoidal")
-    if require_relations and not check_relations(data, tolerance).passed:
-        raise RelationError("data fails relations; "
-                            "pass require_relations=False to override")
+    if require_relations:
+        _require_relations(data, tolerance)
     for t in range(trials):
         rng = _rng(seed, "monoidal", t)
         left = random_surface(rng, prefix=f"l{t}_", max_total_boundary=4)

@@ -191,12 +191,7 @@ class Surface:
         """
         spec = pairs if isinstance(pairs, GlueSpec) else GlueSpec.of(pairs)
         self.require_valid()
-        used: set[str] = set()
         for a, b in spec.pairs:
-            for lab in (a, b):
-                if lab in used:
-                    raise LabelError(f"label {lab} used twice in glue pairs")
-                used.add(lab)
             ca = self.find_circle(a)
             cb = self.find_circle(b)
             if ca.orientation is cb.orientation:

@@ -1,8 +1,11 @@
 """Dense multi-index tensors with labelled, sign-carrying indices.
 
 Indices pair a label with an orientation sign; contraction is the Kronecker
-pairing between one + and one - index (sum over the diagonal).  Entries live
-in one of two scalar backends:
+pairing between one + and one - index (sum over the diagonal).  One fused
+engine, :func:`contract_within` and :func:`contract_between`, does all
+entry arithmetic; :meth:`LabeledTensor.contract` (one pair) and
+:meth:`LabeledTensor.tensor_product` (no pairs) are entry points into it.
+Entries live in one of two scalar backends:
 
 * ``rational`` - exact ``fractions.Fraction`` arithmetic (the default for
   every correctness check; equality is exact),
@@ -23,6 +26,7 @@ entries are zero)::
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import re
 from dataclasses import dataclass
@@ -64,10 +68,6 @@ def scalar_zero(backend: str) -> Scalar:
     return Fraction(0) if backend == RATIONAL else complex(0)
 
 
-def scalar_one(backend: str) -> Scalar:
-    return Fraction(1) if backend == RATIONAL else complex(1)
-
-
 def scalars_equal(a: Scalar, b: Scalar, backend: str,
                   tolerance: float = DEFAULT_TOLERANCE) -> bool:
     if backend == RATIONAL:
@@ -92,33 +92,40 @@ def parse_rational(text: str) -> Fraction:
 
 
 def parse_complex(text: str) -> complex:
-    """Parse ``a+bi`` / ``a`` / ``bi`` with ordinary float syntax for a, b."""
+    """Parse ``a+bi`` / ``a`` / ``bi`` with ordinary float syntax for a, b.
+
+    Non-finite values (nan, inf, or a literal that overflows) are rejected.
+    """
     s = text.strip().replace(" ", "")
     if not s:
         raise ParseError("empty complex scalar")
     try:
         if not s.endswith("i"):
-            return complex(float(s), 0.0)
-        body = s[:-1]
-        # split at the last +/- that is neither leading nor an exponent sign
-        split = -1
-        for k in range(len(body) - 1, 0, -1):
-            if body[k] in "+-" and body[k - 1] not in "eE":
-                split = k
-                break
-        if split == -1:
-            real_part, imag_part = "0", body
+            value = complex(float(s), 0.0)
         else:
-            real_part, imag_part = body[:split], body[split:]
-        if imag_part in ("", "+"):
-            imag = 1.0
-        elif imag_part == "-":
-            imag = -1.0
-        else:
-            imag = float(imag_part)
-        return complex(float(real_part), imag)
+            body = s[:-1]
+            # split at the last +/- that is neither leading nor an exponent sign
+            split = -1
+            for k in range(len(body) - 1, 0, -1):
+                if body[k] in "+-" and body[k - 1] not in "eE":
+                    split = k
+                    break
+            if split == -1:
+                real_part, imag_part = "0", body
+            else:
+                real_part, imag_part = body[:split], body[split:]
+            if imag_part in ("", "+"):
+                imag = 1.0
+            elif imag_part == "-":
+                imag = -1.0
+            else:
+                imag = float(imag_part)
+            value = complex(float(real_part), imag)
     except ValueError:
         raise ParseError(f"bad complex scalar {text!r}; expected a+bi") from None
+    if not cmath.isfinite(value):
+        raise ParseError(f"non-finite complex scalar {text!r}")
+    return value
 
 
 def parse_scalar(text: str, backend: str) -> Scalar:
@@ -224,17 +231,7 @@ class LabeledTensor:
 
     def tensor_product(self, other: "LabeledTensor") -> "LabeledTensor":
         """Outer product; index sequences concatenate."""
-        if self.backend != other.backend:
-            raise BackendError(
-                f"cannot mix {self.backend} and {other.backend} tensors")
-        overlap = set(self.labels) & set(other.labels)
-        if overlap:
-            raise LabelError(f"label collision in tensor product: {sorted(overlap)}")
-        if self.indices and other.indices and self.dimension != other.dimension:
-            raise DimensionError(
-                f"dimension mismatch: {self.dimension} vs {other.dimension}")
-        entries = [x * y for x in self.entries for y in other.entries]
-        return LabeledTensor(self.indices + other.indices, entries, self.backend)
+        return contract_between(self, other, ())
 
     __matmul__ = tensor_product
 
@@ -245,24 +242,7 @@ class LabeledTensor:
         remaining index order is preserved.  Which member of the pair comes
         first does not matter.
         """
-        pa, pb = self.position(a), self.position(b)
-        ia, ib = self.indices[pa], self.indices[pb]
-        if ia.sign is ib.sign:
-            raise OrientationError(
-                f"cannot contract {ia} with {ib}: need opposite signs")
-        keep = [k for k in range(self.rank) if k not in (pa, pb)]
-        strides = self._strides()
-        dim = self.dimension or 1
-        zero = scalar_zero(self.backend)
-        entries = []
-        for assign in itertools.product(range(dim), repeat=len(keep)):
-            base = sum(strides[k] * v for k, v in zip(keep, assign))
-            diag = strides[pa] + strides[pb]
-            acc = zero
-            for t in range(dim):
-                acc = acc + self.entries[base + diag * t]
-            entries.append(acc)
-        return LabeledTensor(tuple(self.indices[k] for k in keep), entries, self.backend)
+        return contract_within(self, [(a, b)])
 
     def permute_indices(self, perm: Sequence[int]) -> "LabeledTensor":
         """Reorder indices: output index k is input index perm[k] (axes
@@ -339,11 +319,13 @@ class LabeledTensor:
         return format_tensor(self)
 
 
-# -- fused multi-pair contraction ---------------------------------------------
+# -- the contraction engine ----------------------------------------------------
 #
-# Equivalent to chaining tensor_product/contract, but never materialises the
-# full outer product and skips zero factors; the network engine leans on this
-# to keep intermediate tensors small and exact-rational arithmetic cheap.
+# The only code that multiplies or sums tensor entries; `contract` and
+# `tensor_product` are entry points into it.  Several pairs are contracted in
+# one pass, the full outer product is never materialised and zero factors are
+# skipped, which keeps intermediate tensors small and exact-rational
+# arithmetic cheap.
 
 def _offsets(indices: Sequence[SignedIndex], strides: Sequence[int],
              positions: Sequence[int]) -> list[int]:
@@ -364,10 +346,8 @@ def _check_pairing(ia: SignedIndex, ib: SignedIndex) -> None:
 
 def contract_within(tensor: LabeledTensor,
                     pairs: Sequence[tuple[str, str]]) -> LabeledTensor:
-    """Contract several +/- label pairs of one tensor at once.
-
-    Same result as contracting the pairs one by one.
-    """
+    """Contract several +/- label pairs of one tensor at once; kept indices
+    stay in order.  Same result as contracting the pairs one by one."""
     if not pairs:
         return tensor
     pa = [tensor.position(a) for a, _ in pairs]
@@ -399,17 +379,15 @@ def contract_between(left: LabeledTensor, right: LabeledTensor,
                      pairs: Sequence[tuple[str, str]]) -> LabeledTensor:
     """Contract label pairs (one label from `left`, one from `right`).
 
-    Same result as `left.tensor_product(right)` followed by contracting each
-    pair; kept indices of `left` come first, then kept indices of `right`.
+    Kept indices of `left` come first, then kept indices of `right`; with no
+    pairs this is the outer product.
     """
     if left.backend != right.backend:
         raise BackendError(f"cannot mix {left.backend} and {right.backend} tensors")
     overlap = set(left.labels) & set(right.labels)
     if overlap:
         raise LabelError(f"label collision between tensors: {sorted(overlap)}")
-    if not pairs:
-        return left.tensor_product(right)
-    if left.dimension != right.dimension:
+    if left.indices and right.indices and left.dimension != right.dimension:
         raise DimensionError(
             f"dimension mismatch: {left.dimension} vs {right.dimension}")
     pa, pb = [], []

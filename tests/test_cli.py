@@ -33,6 +33,11 @@ class TestCheck:
         assert out.split()[2] == "FAIL"  # third relation is the disk absorption
         assert code == 1
 
+    def test_non_finite_scalar_is_a_parse_error(self, write, capsys):
+        text = "tqft dim=1 backend=complex\nd 1 = nan\np 1 1 1 = 1\n"
+        assert main(["check", write("nan.tqft", text)]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_missing_file_is_a_parse_error(self, capsys):
         assert main(["check", "/nonexistent/file.tqft"]) == 2
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from tqft2d import (
     COMPLEX,
+    DEFAULT_TOLERANCE,
     MINUS,
     PLUS,
     BackendError,
@@ -218,6 +219,14 @@ class TestScalarFormat:
         assert parse_complex("1.5") == 1.5
         assert parse_complex("1-2i") == 1 - 2j
 
+    @pytest.mark.parametrize("text", [
+        "nan", "NaN", "-nan", "+nan", "inf", "-inf", "+inf", "Inf", "infinity",
+        "-Infinity", "INFINITY", "1e400", "nani", "-infi", "1+infi", "infinityi",
+        "nan+1i", "1-1e999i"])
+    def test_complex_rejects_non_finite(self, text):
+        with pytest.raises(ParseError):
+            parse_complex(text)
+
     def test_parse_scalar_respects_backend(self):
         assert parse_scalar("1/2", RATIONAL) == Fraction(1, 2)
         assert parse_scalar("1+0i", COMPLEX) == 1 + 0j
@@ -257,31 +266,49 @@ class TestLiteralFormat:
 
 # -- brute-force oracle --------------------------------------------------------
 #
-# An independent dictionary-of-assignments implementation of the pairing
-# contract(tensor_product(t1, t2), a, b): plain nested loops, no strides.
+# An independent dictionary-of-assignments implementation of contraction:
+# plain nested loops over every joint assignment, no strides, no zero skips.
 
 def to_dict(tensor):
     return {assign: tensor.value_at(assign) for assign in tensor.assignments()}
 
 
-def oracle_pairing(t1, t2, a, b):
-    pa, pb = t1.labels.index(a), t2.labels.index(b)
-    dim = t1.dimension or t2.dimension
-    keep1 = [k for k in range(t1.rank) if k != pa]
-    keep2 = [k for k in range(t2.rank) if k != pb]
-    m1, m2 = to_dict(t1), to_dict(t2)
+def oracle_pairing(tensors, pairs):
+    """Contract the outer product of `tensors` (one or two) along `pairs`.
+
+    Returns the kept labels in order and {kept assignment: value}: the sum,
+    over every joint assignment on which both labels of each pair agree, of
+    the product of the tensors' entries.  No pairs gives the outer product.
+    """
+    labels = [label for t in tensors for label in t.labels]
+    dim = next((t.dimension for t in tensors if t.dimension), 1)
+    tables = [to_dict(t) for t in tensors]
+    paired = [(labels.index(a), labels.index(b)) for a, b in pairs]
+    used = {k for pair in paired for k in pair}
+    keep = [k for k in range(len(labels)) if k not in used]
     out = {}
-    for left in itertools.product(range(dim), repeat=len(keep1)):
-        for right in itertools.product(range(dim), repeat=len(keep2)):
-            total = Fraction(0)
-            for k in range(dim):
-                a1 = list(left)
-                a1.insert(pa, k)
-                a2 = list(right)
-                a2.insert(pb, k)
-                total += m1[tuple(a1)] * m2[tuple(a2)]
-            out[left + right] = total
-    return out
+    for assign in itertools.product(range(dim), repeat=len(labels)):
+        key = tuple(assign[k] for k in keep)
+        out.setdefault(key, 0)
+        if all(assign[x] == assign[y] for x, y in paired):
+            value, offset = 1, 0
+            for t, table in zip(tensors, tables):
+                value = value * table[assign[offset:offset + t.rank]]
+                offset += t.rank
+            out[key] = out[key] + value
+    return tuple(labels[k] for k in keep), out
+
+
+def assert_matches_oracle(got, tensors, pairs):
+    labels, expected = oracle_pairing(tensors, pairs)
+    assert got.labels == labels
+    values = to_dict(got)
+    assert values.keys() == expected.keys()
+    for assign, value in expected.items():
+        if got.backend == RATIONAL:
+            assert values[assign] == value
+        else:
+            assert abs(values[assign] - value) <= DEFAULT_TOLERANCE
 
 
 def random_rational_tensor(rng, spec, dim):
@@ -302,24 +329,75 @@ def test_contract_of_product_matches_bruteforce_oracle(rank1, rank2, dim):
         t1 = random_rational_tensor(rng, spec1, dim)
         t2 = random_rational_tensor(rng, spec2, dim)
         got = t1.tensor_product(t2).contract("a", "x")
-        expected = oracle_pairing(t1, t2, "a", "x")
-        assert {assign: got.value_at(assign)
-                for assign in got.assignments()} == expected
+        assert_matches_oracle(got, [t1, t2], [("a", "x")])
 
 
 def test_fused_contractions_match_iterated(apply_pairs=(("a", "x"), ("c", "z"))):
+    """Fused multi-pair contraction against the oracle, which contracts the
+    pairs of the full outer product by brute force."""
     rng = random.Random(99)
     t1 = random_rational_tensor(rng, "+a +b -c", 3)
     t2 = random_rational_tensor(rng, "-x -y +z", 3)
-    fused = contract_between(t1, t2, list(apply_pairs))
-    slow = t1.tensor_product(t2)
-    for a, b in apply_pairs:
-        slow = slow.contract(a, b)
-    assert fused == slow
+    assert_matches_oracle(contract_between(t1, t2, list(apply_pairs)),
+                          [t1, t2], apply_pairs)
 
     w = random_rational_tensor(rng, "+p -q +r -s", 2)
-    assert contract_within(w, [("p", "q"), ("r", "s")]) == \
-        w.contract("p", "q").contract("r", "s")
+    pairs = [("p", "q"), ("r", "s")]
+    assert_matches_oracle(contract_within(w, pairs), [w], pairs)
+
+
+# Zero-heavy entries exercise the engine's zero-skipping paths.
+RATIONAL_ENTRIES = st.sampled_from(
+    [0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4)])
+COMPLEX_ENTRIES = st.sampled_from([0, 0, 0, 1, -1j, 0.5 + 2j, -1.25, 1e-3 - 1j])
+
+
+@st.composite
+def tensors_of(draw, prefix, dim, backend):
+    rank = draw(st.integers(0, 3))
+    indices = tuple(SignedIndex(f"{prefix}{k}", draw(st.sampled_from([PLUS, MINUS])), dim)
+                    for k in range(rank))
+    values = RATIONAL_ENTRIES if backend == RATIONAL else COMPLEX_ENTRIES
+    entries = draw(st.lists(values, min_size=dim ** rank, max_size=dim ** rank))
+    return LabeledTensor(indices, entries, backend)
+
+
+def draw_pairs(draw, left, right, within):
+    """Random +/- label pairs, each label used at most once; `within` pairs
+    the indices of `left` among themselves."""
+    pairs, taken = [], set()
+    for k, ix in enumerate(left):
+        options = [iy for iy in (left[k + 1:] if within else right)
+                   if iy.sign is not ix.sign and iy.label not in taken]
+        if ix.label in taken or not options or not draw(st.booleans()):
+            continue
+        iy = draw(st.sampled_from(options))
+        taken |= {ix.label, iy.label}
+        pairs.append((ix.label, iy.label) if draw(st.booleans()) else (iy.label, ix.label))
+    return pairs
+
+
+@st.composite
+def contraction_cases(draw):
+    backend = draw(st.sampled_from([RATIONAL, COMPLEX]))
+    dim = draw(st.integers(1, 3))
+    left = draw(tensors_of("a", dim, backend))
+    right = draw(tensors_of("b", dim, backend))
+    between = draw_pairs(draw, left.indices, right.indices, within=False)
+    within = draw_pairs(draw, left.indices, (), within=True)
+    return left, right, between, within
+
+
+@given(contraction_cases())
+@settings(max_examples=150, deadline=None)
+def test_engine_entry_points_match_oracle(case):
+    left, right, between, within = case
+    assert_matches_oracle(left.tensor_product(right), [left, right], [])
+    assert_matches_oracle(left @ right, [left, right], [])
+    assert_matches_oracle(contract_between(left, right, between), [left, right], between)
+    assert_matches_oracle(contract_within(left, within), [left], within)
+    for a, b in within:
+        assert_matches_oracle(left.contract(a, b), [left], [(a, b)])
 
 
 # -- hypothesis properties -----------------------------------------------------

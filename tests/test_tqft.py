@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -96,6 +97,12 @@ class TestCheckRelations:
         data = TqftData([nearly_one], [complex(1)], COMPLEX)
         assert check_relations(data).passed  # 1e-12 violation, below 1e-9
         assert not check_relations(data, tolerance=1e-15).passed
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_data_fails(self, value):
+        report = check_relations(TqftData([complex(value)], [complex(1)], COMPLEX))
+        assert not report.passed
+        assert "FAIL" in report.tokens()
 
     def test_complex_violation(self):
         data = TqftData([complex(1)], [complex(2)], COMPLEX)
@@ -316,6 +323,11 @@ class TestDataFileFormat:
                 "p 1 1 2 = 1\np 1 2 1 = 1\np 2 1 1 = 1\n")
         data = parse_tqft(text)
         assert data.p_entry(0, 0, 1) == 1
+
+    @pytest.mark.parametrize("line", ["d 1 = nan", "d 1 = inf", "p 1 1 1 = nan"])
+    def test_non_finite_entry_rejected(self, line):
+        with pytest.raises(ParseError, match="non-finite"):
+            parse_tqft(f"tqft dim=1 backend=complex\n{line}\n")
 
     def test_duplicate_entry_rejected(self):
         with pytest.raises(ParseError) as err:
