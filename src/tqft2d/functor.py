@@ -7,6 +7,8 @@ away via the Kronecker pairing, and one index per boundary circle survives,
 carrying that circle's label and orientation sign.  The sphere, disk,
 annulus and torus have no pants decomposition and take their tensors from
 the closed-form table instead.  Components multiply via the tensor product.
+The contraction planner is greedy (smallest intermediate rank first) and
+plans a network of P pants in O(P log P).
 
 Two decomposition strategies are built in (`chain`, a caterpillar with
 boundary legs hanging off the front of a linear spine and handles as
@@ -20,6 +22,7 @@ two-stage gluings compose, and that disjoint union matches tensor product.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -42,6 +45,8 @@ from .tensor import (
     SignedIndex,
     contract_between,
     contract_within,
+    format_scalar,
+    scalars_equal,
 )
 from .tqft import _CLOSED_FORM, TqftData, check_relations
 
@@ -216,18 +221,18 @@ def pants_decomposition(genus: int, boundary_count: int, strategy: str = "chain"
     if spine_len >= 1:
         # Fill free spine slots front to back: boundary legs first, then
         # the circles that attach the handle nodes.
-        queue = external + attach
+        queue = iter(external + attach)
         for k in range(spine_len):
             legs: list[str] = []
             if k > 0:
                 legs.append(spine_cuts[k - 1])
             free = 3 - len(legs) - (1 if k < spine_len - 1 else 0)
             for _ in range(free):
-                legs.append(queue.pop(0))
+                legs.append(next(queue))
             if k < spine_len - 1:
                 legs.append(spine_cuts[k])
             nodes.append(legs)
-        assert not queue
+        assert next(queue, None) is None
         for i in range(g):
             nodes.append([attach[i], handles[i], handles[i]])
     elif (g, n) == (1, 1):
@@ -258,16 +263,15 @@ def exchange_moves(decomposition: PantsDecomposition) -> list[Move]:
     """All leg-regrouping moves: for a circle occurring once in each of two
     nodes, the four remaining legs can be regrouped in two other ways.
     A move is (node_a, node_b, circle, variant) with variant in {0, 1}."""
-    moves = []
-    for a, b in itertools.combinations(range(len(decomposition.pants)), 2):
-        counts_a = _leg_counts(decomposition.pants[a])
-        counts_b = _leg_counts(decomposition.pants[b])
-        shared = sorted(set(counts_a) & set(counts_b))
-        for label in shared:
-            if counts_a[label] == 1 and counts_b[label] == 1:
-                moves.append((a, b, label, 0))
-                moves.append((a, b, label, 1))
-    return moves
+    single: dict[str, list[int]] = {}
+    for k, node in enumerate(decomposition.pants):
+        for label, count in _leg_counts(node).items():
+            if count == 1:
+                single.setdefault(label, []).append(k)
+    return sorted((a, b, label, variant)
+                  for label, nodes in single.items()
+                  for a, b in itertools.combinations(nodes, 2)
+                  for variant in (0, 1))
 
 
 def apply_exchange(decomposition: PantsDecomposition, move: Move) -> PantsDecomposition:
@@ -342,42 +346,67 @@ def _contract_network(tensors: list[LabeledTensor],
 
     Any order gives the same result; the greedy choice only bounds the size
     of intermediate tensors.  Pairs living on the same one or two tensors
-    are contracted together in one fused step.
+    form a group and are contracted together, in input order, in one fused
+    step.  Each step takes the group whose result has the smallest rank;
+    a tie goes to the group whose first pair comes earliest in `pairs`.
+    The lower-numbered tensor is the left operand and the merged tensor
+    takes its number; tensors left unconnected at the end are multiplied
+    in input order.
+
+    Groups are found once from a label-to-tensor map, kept in a heap keyed
+    by (rank, first pair) and, after a step, re-keyed only where they touch
+    the merged tensors, so planning costs O((P + pairs) log P) for P
+    tensors.
     """
-    tensors = list(tensors)
-    pending = list(pairs)
+    live = dict(enumerate(tensors))
+    owner: dict[str, int] = {}
+    for k, tensor in enumerate(tensors):
+        for label in tensor.labels:
+            owner.setdefault(label, k)
+    groups: dict[tuple[int, int], list[int]] = {}
+    touching: dict[int, set[tuple[int, int]]] = {k: set() for k in live}
+    for index, pair in enumerate(pairs):
+        try:
+            ta, tb = sorted(owner[label] for label in pair)
+        except KeyError as missing:
+            raise LabelError(f"no tensor owns index {missing.args[0]}") from None
+        groups.setdefault((ta, tb), []).append(index)
+        touching[ta].add((ta, tb))
+        touching[tb].add((ta, tb))
 
-    def owner(label: str) -> int:
-        for k, t in enumerate(tensors):
-            if label in t.labels:
-                return k
-        raise LabelError(f"no tensor owns index {label}")
+    def entry(key: tuple[int, int]) -> tuple[int, int, tuple[int, int]]:
+        ta, tb = key
+        rank = live[ta].rank + (live[tb].rank if ta != tb else 0)
+        return rank - 2 * len(groups[key]), groups[key][0], key
 
-    while pending:
-        groups: dict[tuple[int, int], list[tuple[str, str]]] = {}
-        for a, b in pending:
-            ta, tb = owner(a), owner(b)
-            groups.setdefault((min(ta, tb), max(ta, tb)), []).append((a, b))
-        best = None
-        for (ta, tb), grouped in groups.items():
-            if ta == tb:
-                rank = tensors[ta].rank - 2 * len(grouped)
-            else:
-                rank = tensors[ta].rank + tensors[tb].rank - 2 * len(grouped)
-            if best is None or rank < best[0]:
-                best = (rank, ta, tb, grouped)
-        _, ta, tb, grouped = best
+    heap = [entry(key) for key in groups]
+    heapq.heapify(heap)
+    while groups:
+        top = heapq.heappop(heap)
+        key = top[2]
+        if key not in groups or entry(key) != top:
+            continue  # stale: the group was merged or its rank changed
+        ta, tb = key
+        grouped = [pairs[index] for index in groups.pop(key)]
+        touching[ta].discard(key)
         if ta == tb:
-            tensors[ta] = contract_within(tensors[ta], grouped)
+            live[ta] = contract_within(live[ta], grouped)
         else:
-            tensors[ta] = contract_between(tensors[ta], tensors[tb], grouped)
-            del tensors[tb]
-        done = set(grouped)
-        pending = [pair for pair in pending if pair not in done]
-    result = tensors[0]
-    for extra in tensors[1:]:
-        result = result.tensor_product(extra)
-    return result
+            live[ta] = contract_between(live[ta], live.pop(tb), grouped)
+            for old in touching.pop(tb) - {key}:
+                other = old[0] if old[1] == tb else old[1]
+                other = ta if other == tb else other
+                touching[other].discard(old)
+                new = (min(ta, other), max(ta, other))
+                groups[new] = sorted(groups.get(new, []) + groups.pop(old))
+                touching[ta].add(new)
+                touching[other].add(new)
+        for near in touching[ta]:
+            heapq.heappush(heap, entry(near))
+    first, *rest = live.values()
+    for extra in rest:
+        first = first.tensor_product(extra)
+    return first
 
 
 def _finish_component(tensor: LabeledTensor,
@@ -528,8 +557,28 @@ def _rng(seed, *parts) -> random.Random:
     return random.Random(":".join(str(p) for p in [seed, *parts]))
 
 
-def _tensor_mismatch(a: LabeledTensor, b: LabeledTensor) -> str:
-    return f"got\n{a}\nversus\n{b}"
+MISMATCH_SHOWN = 8
+
+
+def _tensor_mismatch(a: LabeledTensor, b: LabeledTensor,
+                     tolerance: float = DEFAULT_TOLERANCE) -> str:
+    """How two tensors differ, in bounded size: both index signatures, the
+    first MISMATCH_SHOWN differing entries (1-based assignment, left value,
+    right value) and the count of differing entries."""
+    head = f"got {a!r} versus {b!r}"
+    if a.indices != b.indices or a.backend != b.backend:
+        return head + "; index signatures differ"
+    lines = [head]
+    count = 0
+    for assign, x, y in zip(a.assignments(), a.entries, b.entries):
+        if not scalars_equal(x, y, a.backend, tolerance):
+            count += 1
+            if count <= MISMATCH_SHOWN:
+                at = " ".join(str(v + 1) for v in assign) or "()"
+                lines.append(f"at {at}: {format_scalar(x, a.backend)} "
+                             f"versus {format_scalar(y, b.backend)}")
+    lines.append(f"{count} of {len(a.entries)} entries differ")
+    return "\n".join(lines)
 
 
 def verify_decomposition_invariance(data: TqftData, g_max: int, n_max: int,
@@ -564,7 +613,9 @@ def verify_decomposition_invariance(data: TqftData, g_max: int, n_max: int,
                 value = invariant_of_decomposition(data, decomposition, boundary)
                 ok = reference.canonical().equals(value.canonical(), tolerance)
                 detail = "" if ok else (
-                    f"{chain} vs {decomposition}; " + _tensor_mismatch(reference, value))
+                    f"{chain} vs {decomposition}; "
+                    + _tensor_mismatch(reference.canonical(), value.canonical(),
+                                       tolerance))
                 report.add(f"(g={g}, n={n}) chain vs {tag}", ok, detail)
     return report
 
@@ -631,12 +682,13 @@ def verify_functoriality(data: TqftData, trials: int, seed=0, *,
         stepwise = apply_gluing(data, apply_gluing(data, start, first), second)
         composed = apply_gluing(data, start, compose_glue(first, second))
         direct = invariant(data, twice, require_relations=False)
-        ok = (stepwise.equals(composed, tolerance)
-              and stepwise.canonical().equals(direct.canonical(), tolerance))
+        composes = stepwise.equals(composed, tolerance)
+        ok = composes and stepwise.canonical().equals(direct.canonical(), tolerance)
         detail = "" if ok else (
             f"surface:\n{format_surface(surface)}\n"
             f"first {str(first) or '(empty)'} then {str(second) or '(empty)'}; "
-            + _tensor_mismatch(stepwise, direct))
+            + (_tensor_mismatch(stepwise.canonical(), direct.canonical(), tolerance)
+               if composes else _tensor_mismatch(stepwise, composed, tolerance)))
         report.add(f"trial {t}: glue twice vs composed vs reglued surface", ok, detail)
     return report
 
@@ -661,6 +713,7 @@ def verify_monoidal(data: TqftData, trials: int, seed=0, *,
             invariant(data, right, require_relations=False))
         ok = combined.equals(product, tolerance)
         detail = "" if ok else (
-            f"surfaces:\n{format_surface(union)}\n" + _tensor_mismatch(combined, product))
+            f"surfaces:\n{format_surface(union)}\n"
+            + _tensor_mismatch(combined, product, tolerance))
         report.add(f"trial {t}: union vs tensor product", ok, detail)
     return report

@@ -38,7 +38,16 @@ from tqft2d import (
     verify_functoriality,
     verify_monoidal,
 )
-from tqft2d.functor import EXCEPTIONAL, random_glue_spec, random_surface
+import tqft2d.functor as functor
+from tqft2d.functor import (
+    EXCEPTIONAL,
+    MISMATCH_SHOWN,
+    _contract_network,
+    _pants_network,
+    _tensor_mismatch,
+    random_glue_spec,
+    random_surface,
+)
 
 D2 = diagonal_family([Fraction(1), Fraction(2)])
 D1_T2 = diagonal_family([Fraction(2)])
@@ -65,6 +74,8 @@ def rotated_family(t, cos=Fraction(3, 5), sin=Fraction(4, 5)):
 
 
 ROTATED = rotated_family([Fraction(1), Fraction(2)])
+ROTATED_COMPLEX = TqftData([complex(v) for v in ROTATED.d.entries],
+                           [complex(v) for v in ROTATED.p.entries], COMPLEX)
 
 
 def bad_exchange_data():
@@ -516,3 +527,166 @@ class TestRandomGenerators:
             surface = random_surface(rng, prefix=f"q{_}_")
             spec = random_glue_spec(rng, surface)
             surface.glue(spec)  # must not raise
+
+
+def scan_planner(tensors, pairs):
+    """Reference planner: rescans every tensor's labels for every pending
+    pair on every step.  Slow, but plainly the greedy rule: smallest result
+    rank first, ties to the group whose first pending pair comes first."""
+    tensors = list(tensors)
+    pending = list(pairs)
+
+    def owner(label):
+        for k, t in enumerate(tensors):
+            if label in t.labels:
+                return k
+        raise LabelError(f"no tensor owns index {label}")
+
+    while pending:
+        groups = {}
+        for a, b in pending:
+            ta, tb = owner(a), owner(b)
+            groups.setdefault((min(ta, tb), max(ta, tb)), []).append((a, b))
+        best = None
+        for (ta, tb), grouped in groups.items():
+            if ta == tb:
+                rank = tensors[ta].rank - 2 * len(grouped)
+            else:
+                rank = tensors[ta].rank + tensors[tb].rank - 2 * len(grouped)
+            if best is None or rank < best[0]:
+                best = (rank, ta, tb, grouped)
+        _, ta, tb, grouped = best
+        if ta == tb:
+            tensors[ta] = functor.contract_within(tensors[ta], grouped)
+        else:
+            tensors[ta] = functor.contract_between(tensors[ta], tensors[tb], grouped)
+            del tensors[tb]
+        done = set(grouped)
+        pending = [pair for pair in pending if pair not in done]
+    result = tensors[0]
+    for extra in tensors[1:]:
+        result = result.tensor_product(extra)
+    return result
+
+
+def decompositions_up_to(g_max, n_max, rewrites=3):
+    for g in range(g_max + 1):
+        for n in range(n_max + 1):
+            if (g, n) in EXCEPTIONAL or 2 * g - 2 + n < 1:
+                continue
+            chain = pants_decomposition(g, n, "chain")
+            yield chain
+            yield pants_decomposition(g, n, "alternate")
+            for t in range(rewrites):
+                yield random_rewrite(chain, random.Random(f"plan:{g}:{n}:{t}"),
+                                     moves=1 + 2 * t)
+
+
+def brute_force_moves(decomposition):
+    moves = []
+    for a, b in itertools.combinations(range(len(decomposition.pants)), 2):
+        legs_a, legs_b = decomposition.pants[a].legs, decomposition.pants[b].legs
+        for label in sorted(set(legs_a) & set(legs_b)):
+            if legs_a.count(label) == 1 and legs_b.count(label) == 1:
+                moves += [(a, b, label, 0), (a, b, label, 1)]
+    return moves
+
+
+class TestPlanner:
+    def recorded(self, monkeypatch, planner, tensors, pairs):
+        calls = []
+        within, between = functor.contract_within, functor.contract_between
+
+        def record_within(tensor, grouped):
+            calls.append(("within", tensor.labels, tuple(grouped)))
+            return within(tensor, grouped)
+
+        def record_between(left, right, grouped):
+            calls.append(("between", left.labels, right.labels, tuple(grouped)))
+            return between(left, right, grouped)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(functor, "contract_within", record_within)
+            patch.setattr(functor, "contract_between", record_between)
+            result = planner(tensors, pairs)
+        return calls, result
+
+    @pytest.mark.parametrize("data", [ROTATED, ROTATED_COMPLEX],
+                             ids=["rational", "complex"])
+    def test_same_plan_as_the_scan_planner(self, monkeypatch, data):
+        for decomposition in decompositions_up_to(5, 5):
+            tensors, pairs = _pants_network(data, decomposition)
+            expected_calls, expected = self.recorded(
+                monkeypatch, scan_planner, tensors, pairs)
+            calls, result = self.recorded(
+                monkeypatch, _contract_network, tensors, pairs)
+            assert calls == expected_calls, str(decomposition)
+            assert len(calls) >= len(decomposition.pants) - 1
+            assert result.indices == expected.indices
+            assert result.entries == expected.entries
+
+    def test_unconnected_tensors_multiply_in_input_order(self):
+        tensors = [invariant(D2, Surface.disk(label)) for label in ("+c", "+a", "+b")]
+        assert _contract_network(tensors, []).labels == ("c", "a", "b")
+        assert scan_planner(tensors, []) == _contract_network(tensors, [])
+
+    def test_unknown_label_rejected(self):
+        with pytest.raises(LabelError, match="no tensor owns index x"):
+            _contract_network([invariant(D2, Surface.disk("+a"))], [("x", "a")])
+
+    def test_exchange_moves_match_brute_force(self):
+        for decomposition in decompositions_up_to(4, 4):
+            assert exchange_moves(decomposition) == brute_force_moves(decomposition)
+
+
+class TestScale:
+    """Large genus with exact oracles; a planner or move enumeration that
+    grows faster than about linearly in genus makes these slow."""
+
+    @pytest.mark.parametrize("data", [D2, ROTATED], ids=["diagonal", "rotated"])
+    def test_closed_genus_200_sums_powers(self, data):
+        g = 200
+        assert closed_invariant(data, g) == 1 + Fraction(2) ** (2 - 2 * g)
+
+    def test_alternate_equals_chain_at_genus_200(self):
+        surface = Surface.connected(200, "+a,-b")
+        assert invariant(ROTATED, surface, strategy="alternate") == \
+            invariant(ROTATED, surface, strategy="chain")
+
+
+class TestTensorMismatch:
+    def rank6(self, offset):
+        indices = [SignedIndex(f"x{k}", PLUS, 3) for k in range(6)]
+        return LabeledTensor(indices, [Fraction(k % 7 + (k % 5 == 0) * offset)
+                                       for k in range(3 ** 6)])
+
+    def test_detail_is_capped_and_counts_every_difference(self):
+        left, right = self.rank6(0), self.rank6(1)
+        differing = sum(1 for k in range(3 ** 6) if k % 5 == 0)
+        lines = _tensor_mismatch(left, right).splitlines()
+        assert lines[0] == f"got {left!r} versus {right!r}"
+        assert lines[1:-1] == [
+            f"at {' '.join(str(v + 1) for v in assign)}: {k % 7} versus {k % 7 + 1}"
+            for k, assign in list(zip(range(3 ** 6), left.assignments()))[::5][
+                :MISMATCH_SHOWN]]
+        assert lines[-1] == f"{differing} of 729 entries differ"
+        assert differing > MISMATCH_SHOWN
+
+    def test_signature_difference_reported_without_entries(self):
+        left = self.rank6(0)
+        detail = _tensor_mismatch(left, left.flip_signs(["x0"]))
+        assert detail.endswith("index signatures differ")
+        assert "\n" not in detail
+
+    def test_complex_differences_use_the_tolerance(self):
+        a = LabeledTensor([SignedIndex("a", PLUS, 2)], [1j, 2j], COMPLEX)
+        b = LabeledTensor([SignedIndex("a", PLUS, 2)], [1j + 1e-12, 3j], COMPLEX)
+        lines = _tensor_mismatch(a, b).splitlines()
+        assert lines[1:] == ["at 2: 0+2i versus 0+3i", "1 of 2 entries differ"]
+
+    def test_failing_suite_detail_is_bounded(self):
+        report = verify_decomposition_invariance(
+            bad_exchange_data(), 0, 6, trials=2, seed=5, require_relations=False)
+        assert report.failures
+        for check in report.failures:
+            assert len(check.to_text().splitlines()) <= MISMATCH_SHOWN + 2
