@@ -561,14 +561,16 @@ MISMATCH_SHOWN = 8
 
 
 def _tensor_mismatch(a: LabeledTensor, b: LabeledTensor,
-                     tolerance: float = DEFAULT_TOLERANCE) -> str:
-    """How two tensors differ, in bounded size: both index signatures, the
-    first MISMATCH_SHOWN differing entries (1-based assignment, left value,
-    right value) and the count of differing entries."""
-    head = f"got {a!r} versus {b!r}"
+                     tolerance: float = DEFAULT_TOLERANCE,
+                     head: str | None = None) -> str:
+    """How two tensors differ, in bounded size: both index signatures (or
+    `head` in their place when they agree), the first MISMATCH_SHOWN
+    differing entries (1-based assignment, left value, right value) and the
+    count of differing entries."""
+    signatures = f"got {a!r} versus {b!r}"
     if a.indices != b.indices or a.backend != b.backend:
-        return head + "; index signatures differ"
-    lines = [head]
+        return signatures + "; index signatures differ"
+    lines = [head or signatures]
     count = 0
     for assign, x, y in zip(a.assignments(), a.entries, b.entries):
         if not scalars_equal(x, y, a.backend, tolerance):
@@ -579,6 +581,15 @@ def _tensor_mismatch(a: LabeledTensor, b: LabeledTensor,
                              f"versus {format_scalar(y, b.backend)}")
     lines.append(f"{count} of {len(a.entries)} entries differ")
     return "\n".join(lines)
+
+
+def _pants_mismatch(a: PantsDecomposition, b: PantsDecomposition) -> str:
+    """Where two decompositions of one surface differ, in bounded size: the
+    first MISMATCH_SHOWN differing node positions (1-based) and their count."""
+    differing = [k + 1 for k, (x, y) in enumerate(zip(a.pants, b.pants))
+                 if x != y]
+    shown = " ".join(str(k) for k in differing[:MISMATCH_SHOWN])
+    return f"{len(differing)} of {len(a.pants)} pants nodes differ: {shown}"
 
 
 def verify_decomposition_invariance(data: TqftData, g_max: int, n_max: int,
@@ -612,10 +623,9 @@ def verify_decomposition_invariance(data: TqftData, g_max: int, n_max: int,
             for tag, decomposition in candidates:
                 value = invariant_of_decomposition(data, decomposition, boundary)
                 ok = reference.canonical().equals(value.canonical(), tolerance)
-                detail = "" if ok else (
-                    f"{chain} vs {decomposition}; "
-                    + _tensor_mismatch(reference.canonical(), value.canonical(),
-                                       tolerance))
+                detail = "" if ok else _tensor_mismatch(
+                    reference.canonical(), value.canonical(), tolerance,
+                    head=_pants_mismatch(chain, decomposition))
                 report.add(f"(g={g}, n={n}) chain vs {tag}", ok, detail)
     return report
 

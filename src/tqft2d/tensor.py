@@ -39,6 +39,9 @@ from .orientation import Orientation
 RATIONAL = "rational"
 COMPLEX = "complex"
 DEFAULT_TOLERANCE = 1e-9
+# Largest dense tensor the library allocates (2**22 entries, about 32 MB of
+# references before the scalars themselves).
+MAX_ENTRIES = 1 << 22
 
 Scalar = Fraction | complex
 
@@ -53,15 +56,34 @@ def detect_backend(values: Iterable) -> str:
 
 
 def coerce_scalar(value, backend: str) -> Scalar:
+    """`value` as the backend's exact scalar type; a value that already has
+    that type is returned unchanged."""
     if backend == RATIONAL:
+        if type(value) is Fraction:
+            return value
         if isinstance(value, (int, Fraction)):
             return Fraction(value)
         raise BackendError(f"rational backend cannot hold {value!r}")
     if backend == COMPLEX:
+        if type(value) is complex:
+            return value
         if isinstance(value, (int, float, complex, Fraction)):
             return complex(value)
         raise BackendError(f"complex backend cannot hold {value!r}")
     raise BackendError(f"unknown backend {backend!r}")
+
+
+def dense_size(dimension: int, rank: int) -> int:
+    """Entry count of a dense tensor with `rank` indices of `dimension`;
+    raises DimensionError, before anything is allocated, past MAX_ENTRIES."""
+    size = 1
+    for _ in range(rank):
+        size *= dimension
+        if size > MAX_ENTRIES:
+            raise DimensionError(
+                f"a tensor with {rank} indices of dimension {dimension} "
+                f"exceeds the budget of {MAX_ENTRIES} entries")
+    return size
 
 
 def scalar_zero(backend: str) -> Scalar:
@@ -165,7 +187,7 @@ class LabeledTensor:
             raise DimensionError("index dimension must be positive")
         if backend is None:
             backend = detect_backend(entries)
-        expected = self._size(indices)
+        expected = dense_size(indices[0].dimension if indices else 1, len(indices))
         entries = tuple(coerce_scalar(v, backend) for v in entries)
         if len(entries) != expected:
             raise DimensionError(
@@ -173,13 +195,6 @@ class LabeledTensor:
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "backend", backend)
-
-    @staticmethod
-    def _size(indices: Sequence[SignedIndex]) -> int:
-        size = 1
-        for ix in indices:
-            size *= ix.dimension
-        return size
 
     def __setattr__(self, name, value):
         raise AttributeError("LabeledTensor is immutable")
@@ -212,7 +227,8 @@ class LabeledTensor:
 
     def _strides(self) -> tuple[int, ...]:
         dim = self.dimension or 1
-        return tuple(dim ** (self.rank - 1 - k) for k in range(self.rank))
+        rank = len(self.indices)
+        return tuple(dim ** (rank - 1 - k) for k in range(rank))
 
     def value_at(self, assignment: Sequence[int]) -> Scalar:
         """Entry at a 0-based index assignment, in index order."""
@@ -252,12 +268,9 @@ class LabeledTensor:
             raise ValueError(f"{perm} is not a permutation of 0..{self.rank - 1}")
         if perm == tuple(range(self.rank)):
             return self
-        dim = self.dimension or 1
         strides = self._strides()
-        entries = []
-        for assign in itertools.product(range(dim), repeat=self.rank):
-            flat = sum(strides[perm[k]] * v for k, v in zip(range(self.rank), assign))
-            entries.append(self.entries[flat])
+        entries = [self.entries[flat] for flat in
+                   _offsets(self.dimension, [strides[p] for p in perm])]
         return LabeledTensor(tuple(self.indices[p] for p in perm), entries, self.backend)
 
     def flip_signs(self, labels: Iterable[str] | None = None) -> "LabeledTensor":
@@ -327,13 +340,11 @@ class LabeledTensor:
 # skipped, which keeps intermediate tensors small and exact-rational
 # arithmetic cheap.
 
-def _offsets(indices: Sequence[SignedIndex], strides: Sequence[int],
-             positions: Sequence[int]) -> list[int]:
-    """Flat offsets of every assignment of the given index positions."""
-    dim = indices[0].dimension if indices else 1
+def _offsets(dim: int, strides: Sequence[int]) -> list[int]:
+    """Flat offsets of every assignment of indices with these strides, in
+    row-major order of the assignments."""
     offsets = [0]
-    for pos in positions:
-        stride = strides[pos]
+    for stride in strides:
         offsets = [base + stride * v for base in offsets for v in range(dim)]
     return offsets
 
@@ -352,17 +363,17 @@ def contract_within(tensor: LabeledTensor,
         return tensor
     pa = [tensor.position(a) for a, _ in pairs]
     pb = [tensor.position(b) for _, b in pairs]
-    used = pa + pb
-    if len(set(used)) != len(used):
+    used = set(pa + pb)
+    if len(used) != 2 * len(pairs):
         raise LabelError(f"labels repeated across contraction pairs: {pairs}")
     for ka, kb in zip(pa, pb):
         _check_pairing(tensor.indices[ka], tensor.indices[kb])
-    keep = [k for k in range(tensor.rank) if k not in set(used)]
+    keep = [k for k in range(tensor.rank) if k not in used]
+    dim = tensor.dimension
     strides = tensor._strides()
-    kept_offsets = _offsets(tensor.indices, strides, keep)
-    diag_strides = [strides[ka] + strides[kb] for ka, kb in zip(pa, pb)]
-    diag_offsets = _offsets(tensor.indices, diag_strides,
-                            list(range(len(pairs))))
+    kept_offsets = _offsets(dim, [strides[k] for k in keep])
+    diag_offsets = _offsets(dim, [strides[ka] + strides[kb]
+                                  for ka, kb in zip(pa, pb)])
     entries = tensor.entries
     zero = scalar_zero(tensor.backend)
     out = []
@@ -384,7 +395,8 @@ def contract_between(left: LabeledTensor, right: LabeledTensor,
     """
     if left.backend != right.backend:
         raise BackendError(f"cannot mix {left.backend} and {right.backend} tensors")
-    overlap = set(left.labels) & set(right.labels)
+    right_labels = right.labels
+    overlap = set(left.labels).intersection(right_labels)
     if overlap:
         raise LabelError(f"label collision between tensors: {sorted(overlap)}")
     if left.indices and right.indices and left.dimension != right.dimension:
@@ -392,23 +404,24 @@ def contract_between(left: LabeledTensor, right: LabeledTensor,
             f"dimension mismatch: {left.dimension} vs {right.dimension}")
     pa, pb = [], []
     for a, b in pairs:
-        if a in right.labels:
+        if a in right_labels:
             a, b = b, a
         pa.append(left.position(a))
         pb.append(right.position(b))
         _check_pairing(left.indices[pa[-1]], right.indices[pb[-1]])
-    if len(set(pa)) != len(pa) or len(set(pb)) != len(pb):
+    paired_left, paired_right = set(pa), set(pb)
+    if len(paired_left) != len(pa) or len(paired_right) != len(pb):
         raise LabelError(f"labels repeated across contraction pairs: {pairs}")
-    keep_left = [k for k in range(left.rank) if k not in set(pa)]
-    keep_right = [k for k in range(right.rank) if k not in set(pb)]
+    keep_left = [k for k in range(left.rank) if k not in paired_left]
+    keep_right = [k for k in range(right.rank) if k not in paired_right]
+    dim = left.dimension or right.dimension or 1
+    dense_size(dim, len(keep_left) + len(keep_right))
     strides_left = left._strides()
     strides_right = right._strides()
-    row_offsets = _offsets(left.indices, strides_left, keep_left)
-    col_offsets = _offsets(right.indices, strides_right, keep_right)
-    sum_left = _offsets(left.indices,
-                        [strides_left[k] for k in pa], list(range(len(pa))))
-    sum_right = _offsets(right.indices,
-                         [strides_right[k] for k in pb], list(range(len(pb))))
+    row_offsets = _offsets(dim, [strides_left[k] for k in keep_left])
+    col_offsets = _offsets(dim, [strides_right[k] for k in keep_right])
+    sum_left = _offsets(dim, [strides_left[k] for k in pa])
+    sum_right = _offsets(dim, [strides_right[k] for k in pb])
     e1, e2 = left.entries, right.entries
     zero = scalar_zero(left.backend)
     cols = len(col_offsets)
@@ -459,8 +472,7 @@ def parse_tensor(text: str, backend: str | None = None) -> LabeledTensor:
         scalars = [s.rsplit("=", 1)[1] for _, s in lines[1:] if "=" in s]
         backend = COMPLEX if any(("i" in s or "." in s) for s in scalars) else RATIONAL
 
-    size = dim ** rank if rank else 1
-    entries = [scalar_zero(backend)] * size
+    entries = [scalar_zero(backend)] * dense_size(dim, rank)
     filled = set()
     for lineno, line in lines[1:]:
         if "=" not in line:
@@ -493,8 +505,7 @@ def format_tensor(tensor: LabeledTensor) -> str:
     body = ",".join(str(ix) for ix in tensor.indices)
     lines = [f"tensor dim={dim} indices=[{body}]"]
     zero = scalar_zero(tensor.backend)
-    for assign in tensor.assignments():
-        value = tensor.value_at(assign)
+    for assign, value in zip(tensor.assignments(), tensor.entries):
         if value == zero:
             continue
         left = " ".join(str(v + 1) for v in assign)

@@ -9,8 +9,10 @@ relations hold (all sums over repeated indices run 0..n-1):
 * disk_absorption:      d[k] p[k,i,j] d[j] == d[i]
 * cylinder_absorption:  d[k] p[k,i,j] p[j,l,m] == p[i,l,m]
 
-``check_relations`` evaluates all four over every free-index tuple; the
-annulus tensor c[i,j] = d[k] p[k,i,j] is then an idempotent matrix fixing d.
+``check_relations`` evaluates all four over every free-index tuple: each
+side of exchange and of the absorption relations is a contraction by the
+tensor engine, compared entrywise.  When they hold, the annulus tensor
+c[i,j] = d[k] p[k,i,j] is an idempotent matrix fixing d.
 
 Data file format (1-based indices, omitted entries are zero; the loader
 rejects p entries that are not symmetric as supplied)::
@@ -40,6 +42,7 @@ from .tensor import (
     coerce_scalar,
     contract_between,
     contract_within,
+    dense_size,
     detect_backend,
     format_scalar,
     parse_scalar,
@@ -137,56 +140,24 @@ def check_relations(data: TqftData,
     Rational data must satisfy them exactly; complex data up to an absolute
     tolerance per violation |LHS - RHS|.  A NaN violation fails its relation.
     """
-    n = data.dimension
-    pe = data.p.entries
-    de = data.d.entries
-    zero = scalar_zero(data.backend)
-
-    # Nonzero entries of p grouped by the first two slots; keeps the n^4
-    # relation sweeps cheap for sparse (e.g. diagonal) data.
-    rows: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
-    for i in range(n):
-        for j in range(n):
-            base = (i * n + j) * n
-            row = [(k, pe[base + k]) for k in range(n) if pe[base + k]]
-            if row:
-                rows[(i, j)] = row
-    empty: list[tuple[int, Scalar]] = []
-
-    exchange = []
-    for i, j, l, m in itertools.product(range(n), repeat=4):
-        lhs = zero
-        for k, v in rows.get((i, j), empty):
-            lhs = lhs + v * pe[(k * n + l) * n + m]
-        rhs = zero
-        for k, v in rows.get((i, l), empty):
-            rhs = rhs + v * pe[(k * n + j) * n + m]
-        exchange.append(abs(lhs - rhs))
-
-    # Both absorption relations factor through the annulus c[i,j].
-    c = annulus_tensor(data).entries
-    disk = []
-    for i in range(n):
-        acc = zero
-        for j in range(n):
-            if c[i * n + j] and de[j]:
-                acc = acc + c[i * n + j] * de[j]
-        disk.append(abs(acc - de[i]))
-
-    cylinder = []
-    for i, l, m in itertools.product(range(n), repeat=3):
-        acc = zero
-        for j in range(n):
-            if c[i * n + j]:
-                acc = acc + c[i * n + j] * pe[(j * n + l) * n + m]
-        cylinder.append(abs(acc - pe[(i * n + l) * n + m]))
-
-    gaps = {
-        "exchange": exchange,
-        "symmetry": [gap for _, gap in _symmetry_gaps(data.p)],
-        "disk_absorption": disk,
-        "cylinder_absorption": cylinder,
+    p, d = data.p, data.d
+    # p with its first slot lowered, to contract against every tensor here.
+    p_low = p.relabel({"i": "h", "j": "l", "k": "m"}).flip_signs(["h"])
+    # q[i,j,l,m] = p[i,j,k] p[k,l,m]; the exchange relation says q is
+    # symmetric in its middle two slots.
+    q = contract_between(p, p_low, [("k", "h")])
+    # c[l,m] = d[h] p[h,l,m] holds the entries of annulus_tensor; both
+    # absorption relations factor through it.
+    c = contract_between(d, p_low, [("i", "h")])
+    sides = {
+        "exchange": (q, q.permute_indices((0, 2, 1, 3))),
+        "disk_absorption": (contract_between(c, d.flip_signs(), [("m", "i")]), d),
+        "cylinder_absorption": (
+            contract_between(c, p.flip_signs(["i"]), [("m", "i")]), p),
     }
+    gaps = {name: [abs(x - y) for x, y in zip(lhs.entries, rhs.entries)]
+            for name, (lhs, rhs) in sides.items()}
+    gaps["symmetry"] = [gap for _, gap in _symmetry_gaps(p)]
     limit = 0 if data.backend == RATIONAL else tolerance
     results = []
     for name in RELATION_NAMES:
@@ -254,7 +225,7 @@ def diagonal_family(t: Sequence) -> TqftData:
     if any(v == 0 for v in values):
         raise ValueError("diagonal values must be nonzero")
     n = len(values)
-    p_entries = [scalar_zero(backend)] * n ** 3
+    p_entries = [scalar_zero(backend)] * dense_size(n, 3)
     for i, v in enumerate(values):
         p_entries[(i * n + i) * n + i] = 1 / v
     return TqftData(values, p_entries, backend)
@@ -305,8 +276,8 @@ def parse_tqft(text: str) -> TqftData:
     if n < 1:
         raise ParseError("dimension must be positive", line=lineno)
     backend = m.group("backend")
+    p_entries = [scalar_zero(backend)] * dense_size(n, 3)
     d_entries = [scalar_zero(backend)] * n
-    p_entries = [scalar_zero(backend)] * n ** 3
     seen: set[tuple] = set()
     for lineno, line in lines[1:]:
         dm = _D_LINE_RE.match(line)

@@ -46,6 +46,13 @@ class TestCheck:
         assert code == 2
         assert "line 1" in capsys.readouterr().err
 
+    def test_oversized_header_is_a_domain_error(self, write, capsys):
+        text = "tqft dim=10000000 backend=rational\n"
+        assert main(["check", write("big.tqft", text)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "budget" in captured.err
+
 
 class TestInvariant:
     def test_disk(self, write, capsys):

@@ -43,6 +43,7 @@ from tqft2d.functor import (
     EXCEPTIONAL,
     MISMATCH_SHOWN,
     _contract_network,
+    _pants_mismatch,
     _pants_network,
     _tensor_mismatch,
     random_glue_spec,
@@ -690,3 +691,22 @@ class TestTensorMismatch:
         assert report.failures
         for check in report.failures:
             assert len(check.to_text().splitlines()) <= MISMATCH_SHOWN + 2
+
+    def test_failing_moves_line_does_not_grow_with_the_pants(self):
+        def first_failure(n):
+            report = verify_decomposition_invariance(
+                bad_exchange_data(), 0, n, trials=2, seed=5,
+                require_relations=False)
+            return next(c for c in report.failures if f"n={n})" in c.label)
+
+        small, large = first_failure(4), first_failure(8)
+        line = large.to_text().splitlines()[0]
+        assert line == "FAIL (g=0, n=8) chain vs alternate: 2 of 6 pants nodes differ: 1 2"
+        assert len(line) <= len(small.to_text().splitlines()[0])
+
+    def test_pants_detail_is_capped_and_counts_every_node(self):
+        chain = pants_decomposition(0, 22)
+        rotated = PantsDecomposition(chain.pants[1:] + chain.pants[:1],
+                                     chain.external, chain.internal)
+        shown = " ".join(str(k) for k in range(1, MISMATCH_SHOWN + 1))
+        assert _pants_mismatch(chain, rotated) == f"20 of 20 pants nodes differ: {shown}"

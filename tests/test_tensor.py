@@ -24,7 +24,15 @@ from tqft2d import (
     parse_scalar,
     parse_tensor,
 )
-from tqft2d.tensor import contract_between, contract_within, parse_complex, parse_rational
+import tqft2d.tensor as tensor_module
+from tqft2d.tensor import (
+    MAX_ENTRIES,
+    contract_between,
+    contract_within,
+    dense_size,
+    parse_complex,
+    parse_rational,
+)
 
 
 def idx(spec: str, dim: int) -> tuple[SignedIndex, ...]:
@@ -421,3 +429,40 @@ def test_flip_conjugate_commute_and_involute(seed):
     assert t.flip_signs().flip_signs() == t
     assert t.conjugate_entries().conjugate_entries() == t
     assert t.flip_signs().conjugate_entries() == t.conjugate_entries().flip_signs()
+
+
+class TestEntryBudget:
+    """Sizes past MAX_ENTRIES are refused before anything that large exists."""
+
+    def test_edges(self):
+        assert MAX_ENTRIES == 2 ** 22
+        assert dense_size(2, 22) == MAX_ENTRIES
+        assert dense_size(MAX_ENTRIES, 1) == MAX_ENTRIES
+        assert dense_size(7, 0) == 1
+        for dim, rank in [(2, 23), (MAX_ENTRIES + 1, 1), (10 ** 40, 3)]:
+            with pytest.raises(DimensionError, match="budget"):
+                dense_size(dim, rank)
+
+    def test_literal_header(self):
+        labels = ",".join(f"+a{k}" for k in range(23))
+        with pytest.raises(DimensionError, match="budget"):
+            parse_tensor(f"tensor dim=2 indices=[{labels}]\n")
+        with pytest.raises(DimensionError, match="budget"):
+            parse_tensor("tensor dim=10000000000 indices=[+a]\n")
+
+    def test_construction(self):
+        spec = " ".join(f"+a{k}" for k in range(23))
+        with pytest.raises(DimensionError, match="budget"):
+            LabeledTensor(idx(spec, 2), [])
+
+    def test_contraction_output(self, monkeypatch):
+        spec = " ".join(f"+a{k}" for k in range(12))
+        left = LabeledTensor(idx(spec, 2), [Fraction(1)] * 2 ** 12)
+        right = left.relabel({f"a{k}": f"b{k}" for k in range(12)})
+
+        def refuse(*args):
+            raise AssertionError("offsets built for an output over the budget")
+
+        monkeypatch.setattr(tensor_module, "_offsets", refuse)
+        with pytest.raises(DimensionError, match="budget"):
+            contract_between(left, right, ())

@@ -7,9 +7,14 @@ import pytest
 
 from tqft2d import (
     COMPLEX,
+    DEFAULT_TOLERANCE,
+    PLUS,
     RATIONAL,
+    DimensionError,
+    LabeledTensor,
     ParseError,
     RelationError,
+    SignedIndex,
     TqftData,
     annulus_tensor,
     base_invariants,
@@ -20,6 +25,8 @@ from tqft2d import (
     hermitian_check,
     parse_tqft,
 )
+from tqft2d.tensor import contract_between, contract_within
+from tqft2d.tqft import RELATION_NAMES
 
 
 def symmetric_p(n, assignments):
@@ -109,6 +116,116 @@ class TestCheckRelations:
         report = check_relations(data)
         assert not report["disk_absorption"].passed
         assert report["disk_absorption"].max_violation == pytest.approx(1.0)
+
+
+def oracle_relations(data):
+    """{relation: list of gaps |LHS - RHS|}, by nested sums written straight
+    from the relations in the tqft module docstring."""
+    n = data.dimension
+    d, p = data.d_entry, data.p_entry
+    zero = Fraction(0) if data.backend == RATIONAL else 0j
+    span = range(n)
+
+    def total(terms):
+        return sum(terms, zero)
+
+    return {
+        "exchange": [
+            abs(total(p(i, j, k) * p(k, l, m) for k in span)
+                - total(p(i, l, k) * p(k, j, m) for k in span))
+            for i, j, l, m in itertools.product(span, repeat=4)],
+        "symmetry": [
+            abs(p(*order) - p(i, j, k))
+            for i, j, k in itertools.product(span, repeat=3)
+            for order in itertools.permutations((i, j, k))],
+        "disk_absorption": [
+            abs(total(d(k) * p(k, i, j) * d(j) for k in span for j in span) - d(i))
+            for i in span],
+        "cylinder_absorption": [
+            abs(total(d(k) * p(k, i, j) * p(j, l, m) for k in span for j in span)
+                - p(i, l, m))
+            for i, l, m in itertools.product(span, repeat=3)],
+    }
+
+
+def seeded_symmetric_data(rng, backend):
+    """Symmetric data of dimension 1-4 with mostly zero entries, or a
+    diagonal family (which passes every relation)."""
+    n = rng.randint(1, 4)
+    if backend == RATIONAL:
+        def value():
+            return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    else:
+        def value():
+            return complex(rng.randint(-4, 4) / 2, rng.choice([0, 0, 1, -0.5]))
+    if rng.random() < 0.3:
+        one = Fraction(1) if backend == RATIONAL else complex(1)
+        return diagonal_family([value() or one for _ in range(n)])
+    zeros = rng.choice([0.5, 0.8, 0.95])
+    orbits = {}
+    p = []
+    for ijk in itertools.product(range(n), repeat=3):
+        key = tuple(sorted(ijk))
+        if key not in orbits:
+            orbits[key] = value() if rng.random() >= zeros else 0 * value()
+        p.append(orbits[key])
+    d = [value() if rng.random() >= zeros else 0 * value() for _ in range(n)]
+    return TqftData(d, p, backend)
+
+
+class TestCheckRelationsOracle:
+    @pytest.mark.parametrize("backend", [RATIONAL, COMPLEX])
+    def test_matches_plain_sums(self, backend):
+        rng = random.Random(f"relations-{backend}")
+        verdicts = set()
+        for _ in range(60):
+            data = seeded_symmetric_data(rng, backend)
+            report = check_relations(data)
+            limit = 0 if backend == RATIONAL else DEFAULT_TOLERANCE
+            for name, gaps in oracle_relations(data).items():
+                result = report[name]
+                assert result.passed == all(gap <= limit for gap in gaps), name
+                if backend == RATIONAL:
+                    assert result.max_violation == max(gaps), name
+                    assert type(result.max_violation) is Fraction
+                else:
+                    assert abs(result.max_violation - max(gaps)) <= 1e-12, name
+                verdicts.add((name, result.passed))
+        # each relation both passes and fails somewhere, except symmetry,
+        # which this data always has
+        assert len(verdicts) == 2 * len(RELATION_NAMES) - 1
+
+
+class TestExactEntries:
+    def test_construction_coerces_to_the_backend_type(self):
+        class Ratio(Fraction):
+            pass
+
+        ix = [SignedIndex("a", PLUS, 4)]
+        rational = LabeledTensor(ix, [1, True, Fraction(1, 3), Ratio(2, 5)], RATIONAL)
+        assert [type(v) for v in rational.entries] == [Fraction] * 4
+        assert rational.entries == (1, 1, Fraction(1, 3), Fraction(2, 5))
+        floating = LabeledTensor(ix, [1, True, 0.5, Fraction(1, 4)], COMPLEX)
+        assert [type(v) for v in floating.entries] == [complex] * 4
+        data = TqftData([2], [Fraction(1, 2)])
+        assert type(data.d_entry(0)) is Fraction
+        assert type(check_relations(data)["exchange"].max_violation) is Fraction
+
+    @pytest.mark.parametrize("backend", [RATIONAL, COMPLEX])
+    def test_engine_results_keep_the_backend_type(self, backend):
+        exact = Fraction if backend == RATIONAL else complex
+        data = diagonal_family([2, 3] if backend == RATIONAL else [2.0, 3j])
+        p = data.p
+        lowered = p.relabel({"i": "x", "j": "y", "k": "z"}).flip_signs(["x"])
+        results = [
+            contract_between(p, lowered, [("k", "x")]),
+            contract_between(p, data.d.relabel({"i": "w"}), ()),
+            contract_within(p.flip_signs(["k"]), [("j", "k")]),
+            p.permute_indices((2, 0, 1)),
+            annulus_tensor(data),
+        ] + list(base_invariants(data).values())
+        for tensor in results:
+            assert {type(v) for v in tensor.entries} == {exact}
 
 
 class TestAnnulus:
@@ -342,3 +459,9 @@ class TestDataFileFormat:
         with pytest.raises(ParseError) as err:
             parse_tqft("tqft dim=1\n")
         assert err.value.line == 1
+
+    @pytest.mark.parametrize("dim", [162, 10_000_000, 10 ** 40])
+    def test_oversized_header_is_refused_before_allocation(self, dim):
+        # 161**3 entries fit the budget, 162**3 do not
+        with pytest.raises(DimensionError, match="budget"):
+            parse_tqft(f"tqft dim={dim} backend=rational\n")
