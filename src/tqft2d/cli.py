@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands:
-  check      print the four relation verdicts for a data file
+  check      print the four relation verdicts for a data file (the worst
+             violation of each failing relation goes to stderr)
   invariant  print the tensor assigned to a surface
   glue       glue circle pairs; emit the surface or its tensor
   closed     scalar invariant of the closed genus-g surface
@@ -101,8 +102,13 @@ def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.command == "check":
-        report = check_relations(parse_tqft(_read(args.tqft_file)))
+        data = parse_tqft(_read(args.tqft_file))
+        report = check_relations(data)
         print(report.tokens())
+        for result in report.results:
+            if not result.passed:
+                worst = format_scalar(result.max_violation, data.backend)
+                print(f"{result.name}: max violation {worst}", file=sys.stderr)
         return 0 if report.passed else 1
 
     if args.command == "invariant":

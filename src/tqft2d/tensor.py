@@ -80,10 +80,31 @@ def dense_size(dimension: int, rank: int) -> int:
     for _ in range(rank):
         size *= dimension
         if size > MAX_ENTRIES:
-            raise DimensionError(
-                f"a tensor with {rank} indices of dimension {dimension} "
-                f"exceeds the budget of {MAX_ENTRIES} entries")
+            raise _over_budget(dimension, rank)
     return size
+
+
+def header_dimension(digits: str, rank: int) -> int:
+    """The decimal dimension `digits` of a text header for `rank` indices.
+
+    A dimension with more digits than MAX_ENTRIES is over the budget at any
+    positive rank, so it gets dense_size's DimensionError before int() sees
+    it (int() refuses strings past 4300 digits with a ValueError).  A rank-0
+    tensor has one entry whatever its dimension and reads as dimension 1,
+    the one format_tensor writes for it.
+    """
+    if not rank:
+        return 1
+    significant = digits.lstrip("0")
+    if len(significant) > len(str(MAX_ENTRIES)):
+        raise _over_budget(significant, rank)
+    return int(significant or "0")
+
+
+def _over_budget(dimension, rank: int) -> DimensionError:
+    return DimensionError(
+        f"a tensor with {rank} indices of dimension {dimension} "
+        f"exceeds the budget of {MAX_ENTRIES} entries")
 
 
 def scalar_zero(backend: str) -> Scalar:
@@ -458,16 +479,14 @@ def parse_tensor(text: str, backend: str | None = None) -> LabeledTensor:
     m = _TENSOR_HEADER_RE.match(header)
     if not m:
         raise ParseError("expected 'tensor dim=<n> indices=[...]'", line=lineno, column=1)
-    dim = int(m.group("dim"))
-    indices = []
     body = m.group("indices").strip()
-    if body:
-        for part in body.split(","):
-            part = part.strip()
-            if len(part) < 2 or part[0] not in "+-" or not _LABEL_RE.fullmatch(part[1:]):
-                raise ParseError(f"bad index {part!r}", line=lineno)
-            indices.append(SignedIndex(part[1:], Orientation(part[0]), dim))
-    rank = len(indices)
+    parts = [part.strip() for part in body.split(",")] if body else []
+    for part in parts:
+        if len(part) < 2 or part[0] not in "+-" or not _LABEL_RE.fullmatch(part[1:]):
+            raise ParseError(f"bad index {part!r}", line=lineno)
+    rank = len(parts)
+    dim = header_dimension(m.group("dim"), rank)
+    indices = [SignedIndex(part[1:], Orientation(part[0]), dim) for part in parts]
     if backend is None:
         scalars = [s.rsplit("=", 1)[1] for _, s in lines[1:] if "=" in s]
         backend = COMPLEX if any(("i" in s or "." in s) for s in scalars) else RATIONAL

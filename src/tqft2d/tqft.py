@@ -11,7 +11,9 @@ relations hold (all sums over repeated indices run 0..n-1):
 
 ``check_relations`` evaluates all four over every free-index tuple: each
 side of exchange and of the absorption relations is a contraction by the
-tensor engine, compared entrywise.  When they hold, the annulus tensor
+tensor engine, compared entrywise.  The verdict is a property of the datum,
+so it is computed once per datum and decision limit and stored on the
+immutable ``TqftData``.  When the relations hold, the annulus tensor
 c[i,j] = d[k] p[k,i,j] is an idempotent matrix fixing d.
 
 Data file format (1-based indices, omitted entries are zero; the loader
@@ -45,6 +47,7 @@ from .tensor import (
     dense_size,
     detect_backend,
     format_scalar,
+    header_dimension,
     parse_scalar,
     scalar_zero,
 )
@@ -53,9 +56,14 @@ RELATION_NAMES = ("exchange", "symmetry", "disk_absorption", "cylinder_absorptio
 
 
 class TqftData:
-    """Dimension n plus the tensors d (rank 1) and p (rank 3, symmetric)."""
+    """Dimension n plus the tensors d (rank 1) and p (rank 3, symmetric).
 
-    __slots__ = ("dimension", "d", "p", "backend")
+    Immutable: assigning an attribute after construction raises
+    AttributeError, so the relation reports that check_relations stores on
+    the datum (one per decision limit, filled on first use) never go stale.
+    """
+
+    __slots__ = ("dimension", "d", "p", "backend", "_reports")
 
     def __init__(self, d_entries: Sequence, p_entries: Sequence,
                  backend: str | None = None):
@@ -80,10 +88,14 @@ class TqftData:
             if not gap <= limit:
                 raise RelationError(
                     f"p is not symmetric at slot indices ({i + 1},{j + 1},{k + 1})")
-        self.dimension = n
-        self.d = d
-        self.p = p
-        self.backend = backend
+        object.__setattr__(self, "dimension", n)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "backend", backend)
+        object.__setattr__(self, "_reports", {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TqftData is immutable")
 
     def d_entry(self, i: int) -> Scalar:
         return self.d.entries[i]
@@ -139,7 +151,22 @@ def check_relations(data: TqftData,
 
     Rational data must satisfy them exactly; complex data up to an absolute
     tolerance per violation |LHS - RHS|.  A NaN violation fails its relation.
+
+    The report depends only on the datum and its decision limit (0 for
+    rational data, `tolerance` for complex data), so it is computed once per
+    datum and limit, on the first call, and stored on the immutable datum;
+    later calls return that same frozen report.
     """
+    limit = 0 if data.backend == RATIONAL else tolerance
+    report = data._reports.get(limit)
+    if report is None:
+        # Threads racing on a cold entry compute equal reports; setdefault
+        # keeps the first stored, so every caller gets the same one.
+        report = data._reports.setdefault(limit, _relation_report(data, limit))
+    return report
+
+
+def _relation_report(data: TqftData, limit: float) -> RelationReport:
     p, d = data.p, data.d
     # p with its first slot lowered, to contract against every tensor here.
     p_low = p.relabel({"i": "h", "j": "l", "k": "m"}).flip_signs(["h"])
@@ -158,7 +185,6 @@ def check_relations(data: TqftData,
     gaps = {name: [abs(x - y) for x, y in zip(lhs.entries, rhs.entries)]
             for name, (lhs, rhs) in sides.items()}
     gaps["symmetry"] = [gap for _, gap in _symmetry_gaps(p)]
-    limit = 0 if data.backend == RATIONAL else tolerance
     results = []
     for name in RELATION_NAMES:
         worst = max(gaps[name])
@@ -272,7 +298,7 @@ def parse_tqft(text: str) -> TqftData:
     if not m:
         raise ParseError("expected 'tqft dim=<n> backend=<rational|complex>'",
                          line=lineno, column=1)
-    n = int(m.group("dim"))
+    n = header_dimension(m.group("dim"), 3)
     if n < 1:
         raise ParseError("dimension must be positive", line=lineno)
     backend = m.group("backend")

@@ -1,9 +1,14 @@
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import tqft2d.tqft as tqft_module
 from tqft2d import Surface, diagonal_family, format_tqft, parse_surface, parse_tensor
 from tqft2d.cli import main
+
+BENCH_DATA = Path(__file__).resolve().parent.parent / "bench" / "data"
 
 T2_FILE = "tqft dim=1 backend=rational\nd 1 = 2\np 1 1 1 = 1/2\n"
 BAD_FILE = "tqft dim=1 backend=rational\nd 1 = 1\np 1 1 1 = 2\n"
@@ -52,6 +57,36 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "budget" in captured.err
+
+    def test_header_too_long_for_int_is_a_domain_error(self, write, capsys):
+        digits = "9" * 5000
+        text = f"tqft dim={digits} backend=rational\n"
+        assert main(["check", write("huge.tqft", text)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: a tensor with 3 indices of dimension {digits} "
+                                "exceeds the budget of 4194304 entries\n")
+
+    def test_failing_relations_show_their_worst_violation(self, capsys):
+        code = main(["check", str(BENCH_DATA / "bad.tqft")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == "FAIL PASS FAIL FAIL\n"
+        assert captured.err == ("exchange: max violation 1\n"
+                                "disk_absorption: max violation 1\n"
+                                "cylinder_absorption: max violation 1\n")
+
+    def test_complex_violation_is_formatted_by_its_backend(self, write, capsys):
+        text = "tqft dim=1 backend=complex\nd 1 = 1\np 1 1 1 = 2\n"
+        assert main(["check", write("c.tqft", text)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "PASS PASS FAIL FAIL\n"
+        assert captured.err == ("disk_absorption: max violation 1+0i\n"
+                                "cylinder_absorption: max violation 2+0i\n")
+
+    def test_passing_file_writes_nothing_to_stderr(self, write, capsys):
+        assert main(["check", write("t2.tqft", T2_FILE)]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestInvariant:
@@ -147,6 +182,26 @@ class TestVerify:
     def test_bad_data_is_domain_error(self, write):
         assert main(["verify", write("t.tqft", BAD_FILE), "--suite", "moves",
                      "--trials", "1"]) == 3
+
+    @pytest.mark.parametrize("trials", [0, 3])
+    def test_all_suites_check_the_relations_once(self, write, capsys, monkeypatch,
+                                                  trials):
+        callers = []
+        original = tqft_module.contract_between
+
+        def counting(*args, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(tqft_module, "contract_between", counting)
+        path = write("d2.tqft", format_tqft(diagonal_family([Fraction(1), Fraction(2)])))
+        code = main(["verify", path, "--suite", "all", "--trials", str(trials)])
+        assert code == 0 and capsys.readouterr().out.count("suite ") == 3
+        # one relation check makes four contractions; the rest of the calls
+        # come from closed-form surfaces, which need trials to appear
+        assert callers.count("_relation_report") == 4
+        if not trials:
+            assert len(callers) == 4
 
 
 class TestSearch:

@@ -30,6 +30,7 @@ from tqft2d.tensor import (
     contract_between,
     contract_within,
     dense_size,
+    header_dimension,
     parse_complex,
     parse_rational,
 )
@@ -449,6 +450,26 @@ class TestEntryBudget:
             parse_tensor(f"tensor dim=2 indices=[{labels}]\n")
         with pytest.raises(DimensionError, match="budget"):
             parse_tensor("tensor dim=10000000000 indices=[+a]\n")
+
+    @pytest.mark.parametrize("indices", ["+a", "+a,-b,+c"])
+    def test_literal_header_too_long_for_int(self, indices):
+        digits = "9" * 5000
+        with pytest.raises(DimensionError) as err:
+            parse_tensor(f"tensor dim={digits} indices=[{indices}]\n")
+        rank = indices.count(",") + 1
+        assert str(err.value) == (f"a tensor with {rank} indices of dimension {digits} "
+                                  f"exceeds the budget of {MAX_ENTRIES} entries")
+
+    def test_header_dimension_edges(self):
+        assert header_dimension(str(MAX_ENTRIES), 1) == MAX_ENTRIES
+        assert header_dimension("0" * 5000 + "7", 2) == 7
+        assert header_dimension("0", 3) == 0
+        with pytest.raises(DimensionError, match=f"dimension {MAX_ENTRIES * 10} exceeds"):
+            header_dimension("000" + str(MAX_ENTRIES * 10), 1)
+        # a scalar has one entry whatever its header says
+        assert header_dimension("9" * 5000, 0) == 1
+        scalar = parse_tensor(f"tensor dim={'9' * 5000} indices=[]\n = 3\n")
+        assert scalar.rank == 0 and scalar.entries == (3,)
 
     def test_construction(self):
         spec = " ".join(f"+a{k}" for k in range(23))

@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from tqft2d import (
     ParseError,
     RelationError,
     SignedIndex,
+    Surface,
     TqftData,
     annulus_tensor,
     base_invariants,
@@ -23,9 +26,11 @@ from tqft2d import (
     format_tqft,
     grid_search_dim1,
     hermitian_check,
+    invariant,
     parse_tqft,
 )
-from tqft2d.tensor import contract_between, contract_within
+import tqft2d.tqft as tqft_module
+from tqft2d.tensor import MAX_ENTRIES, contract_between, contract_within
 from tqft2d.tqft import RELATION_NAMES
 
 
@@ -194,6 +199,101 @@ class TestCheckRelationsOracle:
         # each relation both passes and fails somewhere, except symmetry,
         # which this data always has
         assert len(verdicts) == 2 * len(RELATION_NAMES) - 1
+
+
+def same_scalar(x, y):
+    """Equal value and type; NaN equals NaN."""
+    return type(x) is type(y) and (x == y or (x != x and y != y))
+
+
+def fresh_copy(data):
+    """An equal datum built anew, whose relation reports are not yet stored."""
+    return TqftData(data.d.entries, data.p.entries, data.backend)
+
+
+class TestRelationCache:
+    TOLERANCES = (DEFAULT_TOLERANCE, 1e-15, 0.0, 1e-3, 2.0)
+
+    def cases(self):
+        for backend in (RATIONAL, COMPLEX):
+            rng = random.Random(f"cache-{backend}")
+            for _ in range(25):
+                yield seeded_symmetric_data(rng, backend)
+        yield TqftData([complex(1 + 1e-12)], [complex(1)], COMPLEX)  # 1e-12 violation
+        yield TqftData([Fraction(1)], [Fraction(2)])
+        yield TqftData([complex(math.nan)], [complex(1)], COMPLEX)
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["ascending", "descending"])
+    def test_cached_report_matches_a_fresh_check(self, order):
+        verdicts = set()
+        for data in self.cases():
+            tolerances = self.TOLERANCES[::order]
+            first = [check_relations(data, t) for t in tolerances]
+            for tolerance, report in zip(tolerances, first):
+                cached = check_relations(data, tolerance)
+                assert cached is report
+                fresh = check_relations(fresh_copy(data), tolerance)
+                assert cached.passed == fresh.passed
+                for got, want in zip(cached.results, fresh.results):
+                    assert got.name == want.name
+                    assert got.passed == want.passed
+                    assert same_scalar(got.max_violation, want.max_violation)
+                verdicts.add((data.backend, cached.passed))
+        assert verdicts == {(b, v) for b in (RATIONAL, COMPLEX) for v in (True, False)}
+
+    def test_rational_data_ignore_the_tolerance(self):
+        data = TqftData([Fraction(1)], [Fraction(2)])
+        assert check_relations(data, 10.0) is check_relations(data, 1e-15)
+        assert not check_relations(data, 10.0).passed
+
+    def test_report_is_computed_on_first_use_only(self, monkeypatch):
+        calls = []
+        original = tqft_module.contract_between
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(tqft_module, "contract_between", counting)
+        data = diagonal_family([2, Fraction(1, 3), -5])
+        assert calls == []  # building the datum checks nothing
+        surface = Surface.connected(2, "+a,-b")  # pants only, no closed forms
+        first = invariant(data, surface)
+        assert len(calls) == 4  # one relation check: q, c and the two absorptions
+        assert invariant(data, surface).equals(first)
+        assert invariant(data, Surface.connected(3)).rank == 0
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("name", ["dimension", "d", "p", "backend", "_reports", "other"])
+    def test_attributes_cannot_be_assigned(self, name):
+        data = diagonal_family([2, 3])
+        with pytest.raises(AttributeError):
+            setattr(data, name, None)
+        assert data.dimension == 2 and data.backend == RATIONAL
+
+    def test_racing_threads_share_one_report(self):
+        data = diagonal_family([Fraction(k + 2, k + 1) for k in range(5)])
+        barrier = threading.Barrier(8)
+        reports = []
+
+        def check():
+            barrier.wait(timeout=30)
+            reports.append(check_relations(data))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=check) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(reports) == 8
+        assert all(report is reports[0] for report in reports)
+        assert reports[0] == check_relations(fresh_copy(data)) and reports[0].passed
 
 
 class TestExactEntries:
@@ -465,3 +565,17 @@ class TestDataFileFormat:
         # 161**3 entries fit the budget, 162**3 do not
         with pytest.raises(DimensionError, match="budget"):
             parse_tqft(f"tqft dim={dim} backend=rational\n")
+
+    @pytest.mark.parametrize("digits", ["9" * 5000, "1" + "0" * 4300],
+                             ids=["5000 nines", "10**4300"])
+    def test_header_too_long_for_int_is_over_the_budget(self, digits):
+        with pytest.raises(DimensionError) as err:
+            parse_tqft(f"tqft dim={digits} backend=rational\n")
+        assert str(err.value) == (f"a tensor with 3 indices of dimension {digits} "
+                                  f"exceeds the budget of {MAX_ENTRIES} entries")
+
+    def test_header_leading_zeros_are_not_digits_of_size(self):
+        data = parse_tqft(f"tqft dim={'0' * 5000}1 backend=rational\np 1 1 1 = 1\n")
+        assert data.dimension == 1
+        with pytest.raises(DimensionError, match="dimension 162 exceeds"):
+            parse_tqft(f"tqft dim={'0' * 5000}162 backend=rational\n")
