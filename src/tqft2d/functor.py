@@ -109,8 +109,6 @@ class PantsDecomposition:
         for label in counts:
             if not LABEL_RE.fullmatch(label):
                 violations.append(f"bad label {label!r}")
-        if self.external & self.internal:
-            violations.append("a label is both external and internal")
         for label in self.external:
             if counts.get(label, 0) != 1:
                 violations.append(f"external label {label} occurs {counts.get(label, 0)} times")
@@ -120,15 +118,12 @@ class PantsDecomposition:
         for label in counts:
             if label not in self.external and label not in self.internal:
                 violations.append(f"unclassified label {label}")
-        for node in self.pants:
-            for leg, repeat in _leg_counts(node).items():
-                if repeat == 2 and leg not in self.internal:
-                    violations.append(f"repeated non-internal leg {leg} in {node}")
-        n, p = len(self.external), len(self.pants)
-        if p < 1:
+        # The counts also rule out a label both external and internal and a
+        # repeated non-internal leg; with connectivity they make the genus
+        # (P + 2 - n) / 2 = I - P + 1 a whole number >= 0 for P pants and I
+        # internal circles.
+        if not self.pants:
             violations.append("no pants nodes")
-        if (p + 2 - n) % 2 != 0 or p + 2 - n < 0:
-            violations.append(f"inconsistent counts: {p} pants, {n} external legs")
         if not self._connected():
             violations.append("network is not connected")
         return violations
@@ -169,13 +164,6 @@ class PantsDecomposition:
         return f"pants[{nodes}] external[{ext}] internal[{cut}]"
 
 
-def _leg_counts(node: Pants) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for leg in node.legs:
-        counts[leg] = counts.get(leg, 0) + 1
-    return counts
-
-
 def _internal_names(count: int, reserved: set[str]) -> list[str]:
     names = []
     k = 1
@@ -193,7 +181,7 @@ def pants_decomposition(genus: int, boundary_count: int, strategy: str = "chain"
 
     `labels` names the external legs (defaults to b1..bn).  `chain` builds
     the caterpillar; `alternate` applies one leg-regrouping move to it and
-    therefore differs structurally whenever 2g-2+n >= 2.
+    therefore differs structurally whenever 2g-2+n >= 2; valid by construction.
     """
     g, n = genus, boundary_count
     if g < 0 or n < 0:
@@ -208,6 +196,9 @@ def pants_decomposition(genus: int, boundary_count: int, strategy: str = "chain"
         raise LabelError(f"expected {n} external labels, got {len(external)}")
     if len(set(external)) != n:
         raise LabelError("external labels must be distinct")
+    for label in external:
+        if not LABEL_RE.fullmatch(label):
+            raise LabelError(f"bad label {label!r}")
 
     total = 2 * g - 2 + n
     spine_len = total - g
@@ -232,7 +223,6 @@ def pants_decomposition(genus: int, boundary_count: int, strategy: str = "chain"
             if k < spine_len - 1:
                 legs.append(spine_cuts[k])
             nodes.append(legs)
-        assert next(queue, None) is None
         for i in range(g):
             nodes.append([attach[i], handles[i], handles[i]])
     elif (g, n) == (1, 1):
@@ -247,12 +237,12 @@ def pants_decomposition(genus: int, boundary_count: int, strategy: str = "chain"
     internal = {leg for legs in nodes for leg in legs} - set(external)
     decomposition = PantsDecomposition(
         tuple(Pants(tuple(legs)) for legs in nodes),
-        frozenset(external), frozenset(internal)).require_valid()
+        frozenset(external), frozenset(internal))
 
     if strategy == "alternate":
         moves = exchange_moves(decomposition)
         if moves:
-            decomposition = apply_exchange(decomposition, moves[0]).require_valid()
+            decomposition = apply_exchange(decomposition, moves[0])
     return decomposition
 
 
@@ -265,8 +255,8 @@ def exchange_moves(decomposition: PantsDecomposition) -> list[Move]:
     A move is (node_a, node_b, circle, variant) with variant in {0, 1}."""
     single: dict[str, list[int]] = {}
     for k, node in enumerate(decomposition.pants):
-        for label, count in _leg_counts(node).items():
-            if count == 1:
+        for label in node.legs:
+            if node.legs.count(label) == 1:
                 single.setdefault(label, []).append(k)
     return sorted((a, b, label, variant)
                   for label, nodes in single.items()
@@ -299,14 +289,14 @@ def apply_exchange(decomposition: PantsDecomposition, move: Move) -> PantsDecomp
 
 def random_rewrite(decomposition: PantsDecomposition, rng: random.Random,
                    moves: int = 1) -> PantsDecomposition:
-    """Apply `moves` random regrouping moves (seeded via `rng`)."""
+    """Apply `moves` random regrouping moves (seeded via `rng`); moves keep validity."""
     current = decomposition
     for _ in range(moves):
         options = exchange_moves(current)
         if not options:
             break
         current = apply_exchange(current, rng.choice(options))
-    return current.require_valid()
+    return current
 
 
 # -- tensor assembly ---------------------------------------------------------
@@ -315,28 +305,24 @@ def _pants_network(data: TqftData, decomposition: PantsDecomposition
                    ) -> tuple[list[LabeledTensor], list[tuple[str, str]]]:
     """Node tensors plus the contraction pairs for the internal circles.
 
-    The second occurrence of an internal label gets renamed (trailing
-    apostrophe, which no surface label can carry) and the opposite sign, so
-    each pair is a legal +/- contraction.
+    A label seen before is, in a valid decomposition, an internal circle's
+    second leg: it gets an apostrophe (no surface label has one) and the
+    opposite sign, so each pair is a legal +/- contraction.
     """
     n = data.dimension
-    seen: dict[str, int] = {}
+    seen: set[str] = set()
     tensors = []
     pairs = []
     for node in decomposition.pants:
         indices = []
         for leg in node.legs:
-            if leg in decomposition.internal:
-                occurrence = seen.get(leg, 0)
-                seen[leg] = occurrence + 1
-                if occurrence == 0:
-                    indices.append(SignedIndex(leg, PLUS, n))
-                else:
-                    indices.append(SignedIndex(leg + "'", MINUS, n))
-                    pairs.append((leg, leg + "'"))
+            if leg in seen:
+                indices.append(SignedIndex(leg + "'", MINUS, n))
+                pairs.append((leg, leg + "'"))
             else:
+                seen.add(leg)
                 indices.append(SignedIndex(leg, PLUS, n))
-        tensors.append(LabeledTensor(indices, data.p.entries, data.backend))
+        tensors.append(LabeledTensor._of(tuple(indices), data.p.entries, data.backend))
     return tensors, pairs
 
 
@@ -421,7 +407,7 @@ def _finish_component(tensor: LabeledTensor,
 def invariant_of_decomposition(data: TqftData,
                                decomposition: PantsDecomposition,
                                boundary: Sequence[BoundaryCircle]) -> LabeledTensor:
-    """Tensor of a connected surface computed from a specific decomposition."""
+    """Tensor of a connected surface from a specific decomposition, validated here."""
     decomposition.require_valid()
     if {c.label for c in boundary} != set(decomposition.external):
         raise LabelError("decomposition external labels do not match the boundary")
@@ -435,9 +421,9 @@ def _component_invariant(data: TqftData, component: ConnectedSurface,
     g, n = component.genus, len(component.boundary)
     if (g, n) in EXCEPTIONAL:
         # The table's index order is the boundary order; only labels and
-        # signs change.
+        # signs change, and the surface's labels are distinct.
         base = _CLOSED_FORM[EXCEPTIONAL[g, n]](data)
-        return LabeledTensor(
+        return LabeledTensor._of(
             tuple(SignedIndex(c.label, c.orientation, data.dimension)
                   for c in component.boundary),
             base.entries, data.backend)
@@ -511,11 +497,7 @@ def apply_isomorphism(tensor: LabeledTensor, perm: Sequence[int],
     reorderings permute indices, orientation changes flip signs, and entries
     never change.
     """
-    result = tensor.permute_indices(perm)
-    flips = list(flips)
-    if flips:
-        result = result.flip_signs(flips)
-    return result
+    return tensor.permute_indices(perm).flip_signs(flips)
 
 
 # -- verification suites -----------------------------------------------------

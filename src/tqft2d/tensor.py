@@ -213,9 +213,20 @@ class LabeledTensor:
         if len(entries) != expected:
             raise DimensionError(
                 f"need {expected} entries for indices {labels}, got {len(entries)}")
+        self._store(indices, entries, backend)
+
+    @classmethod
+    def _of(cls, indices, entries, backend: str) -> "LabeledTensor":
+        """The trusted constructor, which checks nothing.  Precondition: a tuple
+        of indices with distinct labels and one positive dimension, and a
+        tuple of ``dimension ** rank`` entries of the backend's exact type."""
+        return object.__new__(cls)._store(indices, entries, backend)
+
+    def _store(self, indices, entries, backend) -> "LabeledTensor":
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "backend", backend)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("LabeledTensor is immutable")
@@ -290,9 +301,9 @@ class LabeledTensor:
         if perm == tuple(range(self.rank)):
             return self
         strides = self._strides()
-        entries = [self.entries[flat] for flat in
-                   _offsets(self.dimension, [strides[p] for p in perm])]
-        return LabeledTensor(tuple(self.indices[p] for p in perm), entries, self.backend)
+        offsets = _offsets(self.dimension, [strides[p] for p in perm])
+        return LabeledTensor._of(tuple(self.indices[p] for p in perm),
+                                 tuple(self.entries[k] for k in offsets), self.backend)
 
     def flip_signs(self, labels: Iterable[str] | None = None) -> "LabeledTensor":
         """Negate index signs (all of them, or just `labels`); entries unchanged."""
@@ -305,14 +316,14 @@ class LabeledTensor:
                 raise LabelError(f"no index labelled {sorted(unknown)}")
         indices = tuple(ix.reversed() if ix.label in chosen else ix
                         for ix in self.indices)
-        return LabeledTensor(indices, self.entries, self.backend)
+        return LabeledTensor._of(indices, self.entries, self.backend)
 
     def conjugate_entries(self) -> "LabeledTensor":
         """Complex-conjugate every entry (identity on the rational backend)."""
         if self.backend == RATIONAL:
             return self
         entries = tuple(v.conjugate() for v in self.entries)
-        return LabeledTensor(self.indices, entries, self.backend)
+        return LabeledTensor._of(self.indices, entries, self.backend)
 
     def relabel(self, mapping: Mapping[str, str]) -> "LabeledTensor":
         indices = tuple(
@@ -403,8 +414,8 @@ def contract_within(tensor: LabeledTensor,
         for off in diag_offsets:
             acc = acc + entries[base + off]
         out.append(acc)
-    return LabeledTensor(tuple(tensor.indices[k] for k in keep), out,
-                         tensor.backend)
+    return LabeledTensor._of(tuple(tensor.indices[k] for k in keep), tuple(out),
+                             tensor.backend)
 
 
 def contract_between(left: LabeledTensor, right: LabeledTensor,
@@ -458,7 +469,7 @@ def contract_between(left: LabeledTensor, right: LabeledTensor,
                         out[base + yi] = out[base + yi] + a * b
     indices = tuple(left.indices[k] for k in keep_left) + tuple(
         right.indices[k] for k in keep_right)
-    return LabeledTensor(indices, out, left.backend)
+    return LabeledTensor._of(indices, tuple(out), left.backend)
 
 
 # -- literal format ----------------------------------------------------------

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DimensionError, ParseError, RelationError
+from .errors import ParseError, RelationError
 from .orientation import PLUS
 from .tensor import (
     DEFAULT_TOLERANCE,
@@ -70,11 +70,7 @@ class TqftData:
         d_entries = tuple(d_entries)
         p_entries = tuple(p_entries)
         n = len(d_entries)
-        if n < 1:
-            raise DimensionError("dimension must be positive")
-        if len(p_entries) != n ** 3:
-            raise DimensionError(
-                f"p needs {n ** 3} entries for dimension {n}, got {len(p_entries)}")
+        # LabeledTensor raises DimensionError for n < 1 and a p of wrong length.
         if backend is None:
             backend = detect_backend(d_entries + p_entries)
         d = LabeledTensor(
