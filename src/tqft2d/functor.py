@@ -41,11 +41,13 @@ from .surface import (
 )
 from .tensor import (
     DEFAULT_TOLERANCE,
+    MAX_GENUS,
     LabeledTensor,
     SignedIndex,
     contract_between,
     contract_within,
     format_scalar,
+    genus_over_budget,
     scalars_equal,
 )
 from .tqft import _CLOSED_FORM, TqftData, check_relations
@@ -186,6 +188,8 @@ def pants_decomposition(genus: int, boundary_count: int, strategy: str = "chain"
     g, n = genus, boundary_count
     if g < 0 or n < 0:
         raise ValueError("genus and boundary count must be non-negative")
+    if g > MAX_GENUS:
+        raise genus_over_budget(g)
     if (g, n) in EXCEPTIONAL or 2 * g - 2 + n < 1:
         raise ValueError(
             f"(genus={g}, boundary={n}) has no pants decomposition")
@@ -223,16 +227,12 @@ def pants_decomposition(genus: int, boundary_count: int, strategy: str = "chain"
             if k < spine_len - 1:
                 legs.append(spine_cuts[k])
             nodes.append(legs)
-        for i in range(g):
-            nodes.append([attach[i], handles[i], handles[i]])
-    elif (g, n) == (1, 1):
-        nodes.append([external[0], handles[0], handles[0]])
-    elif (g, n) == (2, 0):
-        joint = attach[0]
-        nodes.append([joint, handles[0], handles[0]])
-        nodes.append([joint, handles[1], handles[1]])
-    else:  # pragma: no cover - excluded by the checks above
-        raise ValueError(f"unhandled shape (genus={g}, boundary={n})")
+    else:
+        # (1, 1) and (2, 0) have no spine: the handles hang off the one
+        # boundary circle, or off one circle joining the two handle nodes.
+        attach = external or attach[:1] * 2
+    for i in range(g):
+        nodes.append([attach[i], handles[i], handles[i]])
 
     internal = {leg for legs in nodes for leg in legs} - set(external)
     decomposition = PantsDecomposition(

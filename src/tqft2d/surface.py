@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 
 from .errors import LabelError, OrientationError, ParseError
 from .orientation import PLUS, Orientation
+from .tensor import MAX_GENUS, genus_over_budget
 
 LABEL_RE = re.compile(r"[A-Za-z0-9_]+")
 
@@ -191,26 +192,26 @@ class Surface:
         """
         spec = pairs if isinstance(pairs, GlueSpec) else GlueSpec.of(pairs)
         self.require_valid()
-        for a, b in spec.pairs:
-            ca = self.find_circle(a)
-            cb = self.find_circle(b)
-            if ca.orientation is cb.orientation:
-                raise OrientationError(
-                    f"cannot glue {ca} to {cb}: need one + and one - circle")
-
         comps: list[list] = [
             [comp.genus, comp.orientation, list(comp.boundary)] for comp in self.components
         ]
 
-        def locate(label: str) -> int:
+        def locate(label: str) -> tuple[int, BoundaryCircle]:
             for ci, (_, _, boundary) in enumerate(comps):
-                if any(c.label == label for c in boundary):
-                    return ci
+                for c in boundary:
+                    if c.label == label:
+                        return ci, c
             raise LabelError(f"unknown label {label}")
 
+        # No label is in two pairs, so earlier gluings leave a pair's circles
+        # as they were: checking each pair as it is glued raises the errors a
+        # check of all pairs first would, in the same order.
         for a, b in spec.pairs:
-            ca_i = locate(a)
-            cb_i = locate(b)
+            ca_i, ca = locate(a)
+            cb_i, cb = locate(b)
+            if ca.orientation is cb.orientation:
+                raise OrientationError(
+                    f"cannot glue {ca} to {cb}: need one + and one - circle")
             if ca_i == cb_i:
                 genus, orient, boundary = comps[ca_i]
                 boundary = [c for c in boundary if c.label not in (a, b)]
@@ -289,7 +290,7 @@ def parse_surface(text: str) -> Surface:
             raise ParseError(
                 "expected 'component orient=<+|-> genus=<n> boundary=[...]'",
                 line=lineno, column=1)
-        genus = int(m.group("genus"))
+        genus = _genus(m.group("genus"), lineno)
         boundary = []
         body = m.group("boundary").strip()
         if body:
@@ -308,6 +309,22 @@ def parse_surface(text: str) -> Surface:
     if violations:
         raise ParseError("; ".join(violations))
     return surface
+
+
+def _genus(digits: str, lineno: int) -> int:
+    """The `genus=` field.  A genus past MAX_GENUS is refused, one too long
+    for int() from its digits; a negative one is left to validate() unless
+    it is too long for int()."""
+    sign = "-" if digits.startswith("-") else ""
+    magnitude = digits.lstrip("-").lstrip("0")
+    if len(magnitude) > len(str(MAX_GENUS)):
+        if sign:
+            raise ParseError(f"negative genus of {len(magnitude)} digits", line=lineno)
+        raise genus_over_budget(f"of {len(magnitude)} digits")
+    genus = int(sign + (magnitude or "0"))
+    if genus > MAX_GENUS:
+        raise genus_over_budget(genus)
+    return genus
 
 
 def format_surface(surface: Surface) -> str:

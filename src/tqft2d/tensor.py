@@ -16,6 +16,13 @@ Mixing backends in one expression raises :class:`BackendError`.  All indices
 of one tensor share a single dimension; storage is a flat row-major tuple of
 ``dimension ** rank`` entries.
 
+A tensor is validated once, where it enters: ``LabeledTensor(...)`` checks
+labels, dimension and entry count and coerces each entry to the backend's
+exact type.  Tensors derived from valid ones (engine outputs, permutations,
+sign flips, conjugates) are valid by construction and go through the
+unchecked store ``LabeledTensor._of``; ``relabel`` validates, since its
+mapping may merge labels.
+
 Literal format for fixtures and CLI output (1-based entry indices, omitted
 entries are zero)::
 
@@ -42,6 +49,10 @@ DEFAULT_TOLERANCE = 1e-9
 # Largest dense tensor the library allocates (2**22 entries, about 32 MB of
 # references before the scalars themselves).
 MAX_ENTRIES = 1 << 22
+# Largest genus the library decomposes.  A pants network of genus g has
+# 2g-2+n nodes and is built before any tensor, so the entry budget cannot
+# bound its time and memory.
+MAX_GENUS = 10_000
 
 Scalar = Fraction | complex
 
@@ -105,6 +116,11 @@ def _over_budget(dimension, rank: int) -> DimensionError:
     return DimensionError(
         f"a tensor with {rank} indices of dimension {dimension} "
         f"exceeds the budget of {MAX_ENTRIES} entries")
+
+
+def genus_over_budget(genus) -> DimensionError:
+    """The error for a genus past MAX_GENUS (`genus` may describe it)."""
+    return DimensionError(f"genus {genus} exceeds the budget of {MAX_GENUS}")
 
 
 def scalar_zero(backend: str) -> Scalar:

@@ -305,7 +305,7 @@ def parse_tqft(text: str) -> TqftData:
         dm = _D_LINE_RE.match(line)
         pm = _P_LINE_RE.match(line)
         if dm:
-            i = int(dm.group("i"))
+            i = _entry_index(dm.group("i"), n, "d", lineno)
             if not 1 <= i <= n:
                 raise ParseError(f"d index {i} out of range 1..{n}", line=lineno)
             key = ("d", i)
@@ -314,7 +314,7 @@ def parse_tqft(text: str) -> TqftData:
             seen.add(key)
             d_entries[i - 1] = parse_scalar(dm.group("value"), backend)
         elif pm:
-            ijk = tuple(int(pm.group(g)) for g in ("i", "j", "k"))
+            ijk = tuple(_entry_index(pm.group(g), n, "p", lineno) for g in "ijk")
             if not all(1 <= v <= n for v in ijk):
                 raise ParseError(f"p index out of range 1..{n}", line=lineno)
             key = ("p",) + ijk
@@ -330,6 +330,16 @@ def parse_tqft(text: str) -> TqftData:
         return TqftData(d_entries, p_entries, backend)
     except RelationError as exc:
         raise ParseError(str(exc)) from exc
+
+
+def _entry_index(digits: str, n: int, tensor: str, lineno: int) -> int:
+    """The 1-based index `digits` of a d or p line; one with more digits
+    than n is out of range, and is refused before int() sees it."""
+    significant = digits.lstrip("0")
+    if len(significant) > len(str(n)):
+        raise ParseError(
+            f"{tensor} index of {len(digits)} digits out of range 1..{n}", line=lineno)
+    return int(significant or "0")
 
 
 def format_tqft(data: TqftData) -> str:

@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -149,6 +151,37 @@ class TestClosed:
     def test_genus_zero(self, write, capsys):
         main(["closed", write("t.tqft", T2_FILE), "--genus", "0"])
         assert capsys.readouterr().out.strip() == "4"
+
+
+class TestInputBudgets:
+    def test_genus_over_the_budget_ends_without_a_traceback(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "tqft2d.cli", "closed", str(BENCH_DATA / "rot2.tqft"),
+             "--genus", "10001"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.returncode == 3 and done.stdout == ""
+        assert done.stderr == "error: genus 10001 exceeds the budget of 10000\n"
+
+    @pytest.mark.parametrize("genus,message", [
+        ("10001", "genus 10001 exceeds the budget of 10000"),
+        ("9" * 5000, "genus of 5000 digits exceeds the budget of 10000"),
+    ])
+    def test_surface_genus(self, write, capsys, genus, message):
+        surface = write("s.srf", f"component orient=+ genus={genus} boundary=[+a]\n")
+        code = main(["invariant", write("t.tqft", T2_FILE), surface])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_index_too_long_for_int_is_a_parse_error(self, write, capsys):
+        text = f"tqft dim=1 backend=rational\nd {'9' * 5000} = 1\n"
+        assert main(["check", write("long.tqft", text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("parse error: line 2: d index of 5000 digits "
+                                "out of range 1..1\n")
 
 
 class TestVerify:

@@ -1,8 +1,11 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tqft2d import (
     COMPLEX,
@@ -10,6 +13,7 @@ from tqft2d import (
     PLUS,
     BoundaryCircle,
     ConnectedSurface,
+    DimensionError,
     GlueSpec,
     LabelError,
     LabeledTensor,
@@ -20,6 +24,7 @@ from tqft2d import (
     SignedIndex,
     Surface,
     TqftData,
+    TqftError,
     annulus_tensor,
     apply_exchange,
     apply_gluing,
@@ -42,6 +47,7 @@ import tqft2d.functor as functor
 from tqft2d.functor import (
     EXCEPTIONAL,
     MISMATCH_SHOWN,
+    STRATEGIES,
     _contract_network,
     _pants_mismatch,
     _pants_network,
@@ -49,6 +55,8 @@ from tqft2d.functor import (
     random_glue_spec,
     random_surface,
 )
+from tqft2d.surface import LABEL_RE
+from tqft2d.tensor import MAX_GENUS
 
 D2 = diagonal_family([Fraction(1), Fraction(2)])
 D1_T2 = diagonal_family([Fraction(2)])
@@ -142,6 +150,46 @@ class TestPantsDecomposition:
         with pytest.raises(LabelError):
             pants_decomposition(0, 3, labels=["x"])
 
+    @pytest.mark.parametrize("label", ["", "a b", "x'", "a-b", "\u00e9"])
+    def test_bad_labels_rejected(self, label):
+        with pytest.raises(LabelError, match="bad label"):
+            pants_decomposition(0, 3, labels=["p", "q", label])
+        assert issubclass(LabelError, TqftError)
+
+    def test_shapes_without_a_spine(self):
+        assert str(pants_decomposition(1, 1)) == \
+            "pants[(b1 cut2 cut2)] external[b1] internal[cut2]"
+        assert str(pants_decomposition(2, 0)) == \
+            "pants[(cut1 cut3 cut3) (cut1 cut4 cut4)] external[] internal[cut1,cut3,cut4]"
+        assert str(pants_decomposition(1, 1, labels=["cut2"])) == \
+            "pants[(cut2 cut3 cut3)] external[cut2] internal[cut3]"
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_every_shape_up_to_ten_is_valid(self, strategy):
+        for g, n in itertools.product(range(11), repeat=2):
+            if 2 * g - 2 + n < 1 or (g, n) in EXCEPTIONAL:
+                continue
+            for labels in (None, [f"cut{k + 1}" for k in range(n)],
+                           [f"cut{2 * k + 3}" for k in range(n)]):
+                dec = pants_decomposition(g, n, strategy, labels)
+                assert dec.validate() == [], (g, n, labels)
+                assert (len(dec.pants), dec.genus, dec.boundary_count) == \
+                    (2 * g - 2 + n, g, n)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_any_labels_give_a_valid_decomposition(self, data):
+        g = data.draw(st.integers(0, 10))
+        n = data.draw(st.integers(0 if g >= 2 else 3 - 2 * g, 10))
+        label = st.one_of(st.sampled_from([f"cut{k}" for k in range(1, 40)]),
+                          st.sampled_from([f"b{k}" for k in range(1, 12)]),
+                          st.from_regex(LABEL_RE, fullmatch=True))
+        labels = data.draw(st.lists(label, min_size=n, max_size=n, unique=True))
+        strategy = data.draw(st.sampled_from(STRATEGIES))
+        dec = pants_decomposition(g, n, strategy, labels)
+        assert dec.validate() == []
+        assert dec.external == frozenset(labels) and dec.genus == g
+
     def test_validate_reports_problems(self):
         broken = PantsDecomposition(
             (Pants(("a", "b", "c")),), frozenset({"a", "b"}), frozenset({"c"}))
@@ -150,6 +198,158 @@ class TestPantsDecomposition:
             (Pants(("a", "b", "c")), Pants(("d", "e", "f"))),
             frozenset("abcdef"), frozenset())
         assert any("not connected" in v for v in disconnected.validate())
+
+
+def validates_fully(dec):
+    """Every check a decomposition could be put through, some implied by
+    others: the reference for PantsDecomposition.validate."""
+    counts = Counter(leg for node in dec.pants for leg in node.legs)
+    p, n = len(dec.pants), len(dec.external)
+    if (not all(LABEL_RE.fullmatch(label) for label in counts)
+            or dec.external & dec.internal
+            or any(counts[label] != 1 for label in dec.external)
+            or any(counts[label] != 2 for label in dec.internal)
+            or set(counts) - dec.external - dec.internal
+            or any(node.legs.count(leg) == 2 and leg not in dec.internal
+                   for node in dec.pants for leg in node.legs)
+            or p < 1 or (p + 2 - n) % 2 or p + 2 - n < 0):
+        return False
+    reached, frontier = {0}, [0]
+    while frontier:
+        k = frontier.pop()
+        for j, node in enumerate(dec.pants):
+            if j not in reached and set(node.legs) & set(dec.pants[k].legs):
+                reached.add(j)
+                frontier.append(j)
+    return len(reached) == p
+
+
+def mutated(dec, rng):
+    """`dec` with one random change that may or may not break it."""
+    pants = [list(node.legs) for node in dec.pants]
+    external, internal = set(dec.external), set(dec.internal)
+    labels = sorted(external | internal) + ["new", "x y"]
+    kind = rng.randrange(6)
+    if kind == 0:
+        pants[rng.randrange(len(pants))][rng.randrange(3)] = rng.choice(labels)
+    elif kind == 1 and len(pants) > 1:
+        pants.pop(rng.randrange(len(pants)))
+    elif kind == 2:
+        pants.append(list(rng.choice(pants)))
+    elif kind == 3:
+        a, b = rng.randrange(len(pants)), rng.randrange(len(pants))
+        i, j = rng.randrange(3), rng.randrange(3)
+        pants[a][i], pants[b][j] = pants[b][j], pants[a][i]
+    elif kind == 4:
+        label = rng.choice(labels)
+        external, internal = external ^ {label}, internal - {label}
+    else:
+        label = rng.choice(labels)
+        internal, external = internal ^ {label}, external - {label}
+    try:
+        nodes = tuple(Pants(tuple(legs)) for legs in pants)
+    except LabelError:  # one label on all three legs
+        return dec
+    return PantsDecomposition(nodes, frozenset(external), frozenset(internal))
+
+
+def test_validate_agrees_with_every_check():
+    rng = random.Random(6)
+    verdicts = Counter()
+    for dec in decompositions_up_to(3, 4, rewrites=1):
+        for _ in range(40):
+            broken = mutated(mutated(dec, rng), rng) if rng.random() < 0.5 \
+                else mutated(dec, rng)
+            expected = validates_fully(broken)
+            assert (broken.validate() == []) == expected, str(broken)
+            verdicts[expected] += 1
+    assert verdicts[True] > 100 and verdicts[False] > 100
+
+
+class TestValidateOnce:
+    """Each decomposition on the way to a tensor is validated exactly once,
+    and tensors built inside the functor skip the public constructor."""
+
+    def counted(self, monkeypatch):
+        validated, built = [], []
+        validate, init = PantsDecomposition.validate, LabeledTensor.__init__
+
+        def counting_validate(self):
+            validated.append(self)
+            return validate(self)
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PantsDecomposition, "validate", counting_validate)
+        monkeypatch.setattr(LabeledTensor, "__init__", counting_init)
+        return validated, built
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_invariant(self, monkeypatch, strategy):
+        surface = Surface.connected(2, "+a,-b,+c")
+        check_relations(ROTATED)  # the stored report is built outside the count
+        expected = invariant(ROTATED, surface, strategy=strategy)
+        validated, built = self.counted(monkeypatch)
+        assert invariant(ROTATED, surface, strategy=strategy) == expected
+        assert len(validated) == 1
+        assert built == []
+
+    def test_moves_suite(self, monkeypatch):
+        evaluated = []
+        original = functor.invariant_of_decomposition
+
+        def recording(data, decomposition, boundary):
+            evaluated.append(decomposition)
+            return original(data, decomposition, boundary)
+
+        validated, _ = self.counted(monkeypatch)
+        monkeypatch.setattr(functor, "invariant_of_decomposition", recording)
+        report = verify_decomposition_invariance(ROTATED, 2, 3, trials=3, seed=0)
+        assert report.passed and len(evaluated) > 20
+        assert [id(d) for d in validated] == [id(d) for d in evaluated]
+
+    def test_invalid_decomposition_still_rejected(self):
+        broken = PantsDecomposition(
+            (Pants(("a", "b", "c")),), frozenset({"a", "b"}), frozenset({"c"}))
+        with pytest.raises(TqftError, match="invalid decomposition"):
+            invariant_of_decomposition(D2, broken, circles("+a,+b"))
+        rewritten = random_rewrite(broken, random.Random(0))
+        with pytest.raises(TqftError, match="invalid decomposition"):
+            invariant_of_decomposition(D2, rewritten, circles("+a,+b"))
+
+
+class Built(Exception):
+    pass
+
+
+class TestGenusBudget:
+    """A genus past MAX_GENUS is refused before any pants are built."""
+
+    @pytest.fixture
+    def refuse_building(self, monkeypatch):
+        def refuse(*args):
+            raise Built
+        monkeypatch.setattr(functor, "_internal_names", refuse)
+
+    def test_edges(self, refuse_building):
+        assert MAX_GENUS == 10_000
+        message = f"genus {MAX_GENUS + 1} exceeds the budget of {MAX_GENUS}"
+        for strategy in STRATEGIES:
+            with pytest.raises(Built):
+                pants_decomposition(MAX_GENUS, 1, strategy)
+            with pytest.raises(DimensionError, match=message):
+                pants_decomposition(MAX_GENUS + 1, 1, strategy)
+        with pytest.raises(DimensionError, match="budget"):
+            pants_decomposition(10 ** 100, 0)
+
+    def test_invariant_and_closed_invariant(self, refuse_building):
+        for genus in (MAX_GENUS + 1, 10 ** 100):
+            with pytest.raises(DimensionError, match="budget"):
+                closed_invariant(D2, genus)
+            with pytest.raises(DimensionError, match="budget"):
+                invariant(D2, Surface.connected(genus, "+a,-b"))
 
 
 class TestExchangeMoves:

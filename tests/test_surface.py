@@ -9,6 +9,7 @@ from tqft2d import (
     PLUS,
     BoundaryCircle,
     ConnectedSurface,
+    DimensionError,
     GlueSpec,
     LabelError,
     OrientationError,
@@ -21,6 +22,7 @@ from tqft2d import (
     parse_surface,
 )
 from tqft2d.functor import random_glue_spec, random_surface
+from tqft2d.tensor import MAX_GENUS
 
 
 class TestOrientation:
@@ -137,6 +139,18 @@ class TestGlue:
         with pytest.raises(LabelError):
             s.glue([("a", "b"), ("a", "c")])
 
+    @pytest.mark.parametrize("pairs,error,message", [
+        ([("a", "zzz"), ("b", "c")], LabelError, "unknown label zzz"),
+        ([("zzz", "a"), ("b", "c")], LabelError, "unknown label zzz"),
+        ([("b", "c"), ("a", "zzz")], OrientationError, r"cannot glue \+b to \+c"),
+        ([("a", "d"), ("b", "zzz")], LabelError, "unknown label zzz"),
+        ([("a", "d"), ("e", "b")], OrientationError, r"cannot glue \+e to \+b"),
+    ])
+    def test_first_bad_pair_decides_the_error(self, pairs, error, message):
+        s = Surface.pants("+a,+b,+c").disjoint_union(Surface.annulus("-d,+e"))
+        with pytest.raises(error, match=f"^{message}"):
+            s.glue(pairs)
+
     def test_merge_keeps_first_component_orientation(self):
         s = Surface.disk("+a", orientation=PLUS).disjoint_union(
             Surface.disk("-b", orientation=MINUS))
@@ -194,6 +208,22 @@ class TestTextFormat:
             parse_surface("component orient=+ genus=0 boundary=[+a,*b]")
         assert err.value.line == 1
         assert err.value.column is not None
+
+    def test_genus_budget(self):
+        line = "component orient=+ genus={} boundary=[+a]\n"
+        assert parse_surface(line.format(MAX_GENUS)).components[0].genus == MAX_GENUS
+        assert parse_surface(line.format("0" * 5000 + "7")).components[0].genus == 7
+        with pytest.raises(DimensionError,
+                           match=f"^genus {MAX_GENUS + 1} exceeds the budget of {MAX_GENUS}$"):
+            parse_surface(line.format(MAX_GENUS + 1))
+        with pytest.raises(DimensionError) as err:
+            parse_surface(line.format("9" * 5000))
+        assert str(err.value) == f"genus of 5000 digits exceeds the budget of {MAX_GENUS}"
+
+    def test_negative_genus_stays_a_parse_error(self):
+        for genus in ("-1", "-" + "0" * 5000 + "5", "-" + "9" * 5000):
+            with pytest.raises(ParseError, match="negative genus"):
+                parse_surface(f"component orient=+ genus={genus} boundary=[]\n")
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ParseError):

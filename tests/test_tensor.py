@@ -208,6 +208,29 @@ class TestBackends:
             LabeledTensor(idx("+a -a", 2), [1, 2, 3, 4])
 
 
+class TestValidatingConstructor:
+    """The public constructor checks everything (TestBackends covers repeated
+    labels, the entry count and floats in a rational tensor); the trusted
+    store is private."""
+
+    @pytest.mark.parametrize("indices,entries,backend,error", [
+        (idx("+a", 2) + idx("-b", 3), [0] * 6, None, DimensionError),
+        (idx("+a", 0), [], None, DimensionError),
+        (idx("+a", 2), ["1", 2], COMPLEX, BackendError),
+    ], ids=["mixed dimensions", "dimension 0", "string in complex"])
+    def test_bad_input_raises(self, indices, entries, backend, error):
+        with pytest.raises(error):
+            LabeledTensor(indices, entries, backend)
+
+    def test_trusted_store_is_not_public(self):
+        import tqft2d
+        assert "_of" not in tqft2d.__all__
+        stored = LabeledTensor._of(idx("+a", 2), (Fraction(1), Fraction(2)), RATIONAL)
+        assert stored == rational("+a", 2, [1, 2])
+        with pytest.raises(AttributeError):
+            stored.entries = ()
+
+
 class TestScalarFormat:
     def test_rational_round_trip(self):
         for text in ["0", "7", "-3", "1/4", "-22/7"]:
@@ -407,6 +430,37 @@ def test_engine_entry_points_match_oracle(case):
     assert_matches_oracle(contract_within(left, within), [left], within)
     for a, b in within:
         assert_matches_oracle(left.contract(a, b), [left], [(a, b)])
+
+
+def derived_tensors(left, right, between, within, perm, flips):
+    """Every way of deriving a tensor from valid ones without the checks of
+    the public constructor."""
+    yield contract_between(left, right, between)
+    yield contract_between(left, right, ())
+    yield contract_within(left, within)
+    yield left @ right
+    for a, b in within:
+        yield left.contract(a, b)
+    yield left.permute_indices(perm)
+    yield left.flip_signs()
+    yield left.flip_signs(flips)
+    yield left.conjugate_entries()
+
+
+@given(contraction_cases(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_unchecked_outputs_equal_validated_rebuilds(case, data):
+    left, right, between, within = case
+    perm = data.draw(st.permutations(range(left.rank)))
+    flips = data.draw(st.lists(st.sampled_from(left.labels), unique=True)
+                      if left.rank else st.just([]))
+    for tensor in derived_tensors(left, right, between, within, perm, flips):
+        rebuilt = LabeledTensor(tensor.indices, tensor.entries, tensor.backend)
+        assert type(tensor.indices) is tuple and type(tensor.entries) is tuple
+        assert rebuilt.indices == tensor.indices
+        assert rebuilt.backend == tensor.backend
+        assert rebuilt.entries == tensor.entries
+        assert [type(v) for v in rebuilt.entries] == [type(v) for v in tensor.entries]
 
 
 # -- hypothesis properties -----------------------------------------------------

@@ -62,6 +62,12 @@ class TestTqftData:
         with pytest.raises(Exception):
             TqftData([Fraction(1)], [Fraction(1), Fraction(2)])
 
+    @pytest.mark.parametrize("d,p", [([], []), ([], [1]), ([1], [1, 2]),
+                                     ([1, 1], [1] * 7), ([1, 1], [1] * 9)])
+    def test_bad_dimension_raises_dimension_error(self, d, p):
+        with pytest.raises(DimensionError):
+            TqftData(d, p)
+
     def test_entry_accessors(self):
         data = diagonal_family([Fraction(2), Fraction(3)])
         assert data.d_entry(1) == 3
@@ -554,6 +560,25 @@ class TestDataFileFormat:
     def test_index_out_of_range(self):
         with pytest.raises(ParseError):
             parse_tqft("tqft dim=1 backend=rational\nd 2 = 1\n")
+
+    @pytest.mark.parametrize("line", [
+        "d {} = 1", "p {} 1 1 = 1", "p 1 {} 1 = 1", "p 1 1 {} = 1"])
+    def test_index_too_long_for_int_is_refused_from_its_digits(self, line):
+        digits = "9" * 5000
+        with pytest.raises(ParseError) as err:
+            parse_tqft(f"tqft dim=2 backend=rational\nd 1 = 1\n{line.format(digits)}\n")
+        assert err.value.line == 3
+        assert str(err.value) == (f"line 3: {line[0]} index of 5000 digits "
+                                  "out of range 1..2")
+
+    def test_index_digits_count_without_leading_zeros(self):
+        data = parse_tqft(f"tqft dim=2 backend=rational\nd {'0' * 5000}2 = 1\n"
+                          f"p 1 1 {'0' * 5000}1 = 1\n")
+        assert data.d_entry(1) == 1 and data.p_entry(0, 0, 0) == 1
+        with pytest.raises(ParseError, match="line 2: d index 11 out of range 1..10"):
+            parse_tqft("tqft dim=10 backend=rational\nd 0011 = 1\n")
+        with pytest.raises(ParseError, match="line 2: d index of 4 digits out of range"):
+            parse_tqft("tqft dim=9 backend=rational\nd 0010 = 1\n")
 
     def test_bad_header(self):
         with pytest.raises(ParseError) as err:
