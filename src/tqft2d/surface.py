@@ -23,9 +23,14 @@ from typing import Iterable, Sequence
 
 from .errors import LabelError, OrientationError, ParseError
 from .orientation import PLUS, Orientation
-from .tensor import MAX_GENUS, genus_over_budget
-
-LABEL_RE = re.compile(r"[A-Za-z0-9_]+")
+from .tensor import (
+    LABEL_RE,
+    MAX_GENUS,
+    genus_over_budget,
+    numbered_lines,
+    read_decimal,
+    signed_labels,
+)
 
 Pair = tuple[str, str]
 
@@ -44,18 +49,20 @@ class BoundaryCircle:
 
 def circle(text: str) -> BoundaryCircle:
     """Build a circle from shorthand like ``"+a"`` or ``"-rim_2"``."""
-    text = text.strip()
-    if len(text) < 2 or text[0] not in "+-" or not LABEL_RE.fullmatch(text[1:]):
-        raise LabelError(f"bad circle spec {text!r}; expected e.g. '+a'")
-    return BoundaryCircle(text[1:], Orientation(text[0]))
+    found = circles(text)
+    if len(found) != 1:
+        raise _bad_circle(text.strip())
+    return found[0]
 
 
 def circles(text: str) -> tuple[BoundaryCircle, ...]:
     """Comma-separated :func:`circle` shorthand, e.g. ``"+a,-b"``."""
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(circle(part) for part in text.split(","))
+    return tuple(BoundaryCircle(label, sign)
+                 for label, sign in signed_labels(text, _bad_circle))
+
+
+def _bad_circle(item: str, column: int | None = None) -> LabelError:
+    return LabelError(f"bad circle spec {item!r}; expected e.g. '+a'")
 
 
 @dataclass(frozen=True)
@@ -273,37 +280,26 @@ def compose_glue(first: GlueSpec, second: GlueSpec) -> GlueSpec:
 # -- text format -----------------------------------------------------------
 
 _COMPONENT_RE = re.compile(
-    r"^component\s+orient=(?P<orient>[+-])\s+genus=(?P<genus>-?\d+)"
-    r"\s+boundary=\[(?P<boundary>[^\]]*)\]\s*$"
+    r"\s*component\s+orient=(?P<orient>[+-])\s+genus=(?P<genus>-?\d+)"
+    r"\s+boundary=\[(?P<boundary>[^\]]*)\]\s*"
 )
 
 
 def parse_surface(text: str) -> Surface:
     """Parse the one-component-per-line text format. Rejects duplicate labels."""
     components = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        m = _COMPONENT_RE.match(line)
+    for lineno, line in numbered_lines(text):
+        m = _COMPONENT_RE.fullmatch(line)
         if not m:
             raise ParseError(
                 "expected 'component orient=<+|-> genus=<n> boundary=[...]'",
                 line=lineno, column=1)
         genus = _genus(m.group("genus"), lineno)
-        boundary = []
-        body = m.group("boundary").strip()
-        if body:
-            offset = raw.index("[") + 2
-            for part in body.split(","):
-                part = part.strip()
-                if len(part) < 2 or part[0] not in "+-" or not LABEL_RE.fullmatch(part[1:]):
-                    raise ParseError(f"bad boundary circle {part!r}",
-                                     line=lineno, column=offset)
-                boundary.append(BoundaryCircle(part[1:], Orientation(part[0])))
-                offset += len(part) + 1
-        components.append(ConnectedSurface(
-            genus, Orientation(m.group("orient")), tuple(boundary)))
+        start = m.start("boundary") + 1
+        boundary = signed_labels(m.group("boundary"), lambda item, column: ParseError(
+            f"bad boundary circle {item!r}", line=lineno, column=start + column))
+        components.append(ConnectedSurface(genus, Orientation(m.group("orient")), tuple(
+            BoundaryCircle(label, sign) for label, sign in boundary)))
     surface = Surface(tuple(components))
     violations = surface.validate()
     if violations:
@@ -311,17 +307,16 @@ def parse_surface(text: str) -> Surface:
     return surface
 
 
-def _genus(digits: str, lineno: int) -> int:
-    """The `genus=` field.  A genus past MAX_GENUS is refused, one too long
-    for int() from its digits; a negative one is left to validate() unless
-    it is too long for int()."""
-    sign = "-" if digits.startswith("-") else ""
-    magnitude = digits.lstrip("-").lstrip("0")
-    if len(magnitude) > len(str(MAX_GENUS)):
-        if sign:
-            raise ParseError(f"negative genus of {len(magnitude)} digits", line=lineno)
-        raise genus_over_budget(f"of {len(magnitude)} digits")
-    genus = int(sign + (magnitude or "0"))
+def _genus(field: str, lineno: int) -> int:
+    """The `genus=` field.  A genus past MAX_GENUS is refused; a negative one
+    is left to validate() unless it is too long for int()."""
+    magnitude = field.lstrip("-")
+    negative = magnitude != field
+    genus = read_decimal(magnitude, MAX_GENUS, lambda significant: (
+        ParseError(f"negative genus of {len(significant)} digits", line=lineno)
+        if negative else genus_over_budget(f"of {len(significant)} digits")))
+    if negative:
+        return -genus
     if genus > MAX_GENUS:
         raise genus_over_budget(genus)
     return genus

@@ -99,16 +99,24 @@ def header_dimension(digits: str, rank: int) -> int:
     """The decimal dimension `digits` of a text header for `rank` indices.
 
     A dimension with more digits than MAX_ENTRIES is over the budget at any
-    positive rank, so it gets dense_size's DimensionError before int() sees
-    it (int() refuses strings past 4300 digits with a ValueError).  A rank-0
-    tensor has one entry whatever its dimension and reads as dimension 1,
-    the one format_tensor writes for it.
+    positive rank, so it gets dense_size's DimensionError from its digits.
+    A rank-0 tensor has one entry whatever its dimension and reads as
+    dimension 1, the one format_tensor writes for it.
     """
     if not rank:
         return 1
+    return read_decimal(digits, MAX_ENTRIES,
+                        lambda significant: _over_budget(significant, rank))
+
+
+def read_decimal(digits: str, bound: int, too_long) -> int:
+    """The value of the decimal digit string `digits`.  One with more
+    significant digits than `bound` raises ``too_long(significant)`` (its
+    digits without leading zeros) before int() sees it, since int() refuses
+    strings past 4300 digits with a ValueError."""
     significant = digits.lstrip("0")
-    if len(significant) > len(str(MAX_ENTRIES)):
-        raise _over_budget(significant, rank)
+    if len(significant) > len(str(bound)):
+        raise too_long(significant)
     return int(significant or "0")
 
 
@@ -151,35 +159,16 @@ def parse_rational(text: str) -> Fraction:
 
 
 def parse_complex(text: str) -> complex:
-    """Parse ``a+bi`` / ``a`` / ``bi`` with ordinary float syntax for a, b.
+    """Parse ``a+bi`` / ``a`` / ``bi`` with ordinary float syntax for a, b;
+    whitespace is ignored.
 
     Non-finite values (nan, inf, or a literal that overflows) are rejected.
     """
-    s = text.strip().replace(" ", "")
+    s = "".join(text.split())
     if not s:
         raise ParseError("empty complex scalar")
     try:
-        if not s.endswith("i"):
-            value = complex(float(s), 0.0)
-        else:
-            body = s[:-1]
-            # split at the last +/- that is neither leading nor an exponent sign
-            split = -1
-            for k in range(len(body) - 1, 0, -1):
-                if body[k] in "+-" and body[k - 1] not in "eE":
-                    split = k
-                    break
-            if split == -1:
-                real_part, imag_part = "0", body
-            else:
-                real_part, imag_part = body[:split], body[split:]
-            if imag_part in ("", "+"):
-                imag = 1.0
-            elif imag_part == "-":
-                imag = -1.0
-            else:
-                imag = float(imag_part)
-            value = complex(float(real_part), imag)
+        value = complex(s[:-1] + "j") if s.endswith("i") else complex(float(s), 0.0)
     except ValueError:
         raise ParseError(f"bad complex scalar {text!r}; expected a+bi") from None
     if not cmath.isfinite(value):
@@ -492,69 +481,109 @@ def contract_between(left: LabeledTensor, right: LabeledTensor,
 
 _TENSOR_HEADER_RE = re.compile(
     r"^tensor\s+dim=(?P<dim>\d+)\s+indices=\[(?P<indices>[^\]]*)\]\s*$")
-_LABEL_RE = re.compile(r"[A-Za-z0-9_]+")
+LABEL_RE = re.compile(r"[A-Za-z0-9_]+")
+
+
+def numbered_lines(text: str) -> list[tuple[int, str]]:
+    """The non-blank lines of `text` with their 1-based numbers, unstripped,
+    so that columns count from the start of the line."""
+    return [(n, line) for n, line in enumerate(text.splitlines(), start=1)
+            if line.strip()]
+
+
+def signed_labels(text: str, bad) -> list[tuple[str, Orientation]]:
+    """The comma-separated ``+a,-b`` list `text` as (label, sign) pairs; a
+    blank `text` is the empty list.  A malformed item raises
+    ``bad(item, column)``: the item stripped and its 0-based column in
+    `text`."""
+    if not text.strip():
+        return []
+    found = []
+    start = 0
+    for raw in text.split(","):
+        item = raw.strip()
+        if len(item) < 2 or item[0] not in "+-" or not LABEL_RE.fullmatch(item[1:]):
+            raise bad(item, start + len(raw) - len(raw.lstrip()))
+        found.append((item[1:], Orientation(item[0])))
+        start += len(raw) + 1
+    return found
+
+
+class EntryReader:
+    """Reads the ``<i> <j> ... = <scalar>`` lines of one tensor body with
+    `rank` indices of dimension `dim` into dense row-major `entries`.
+
+    Each index is a decimal digit string in 1..dim, refused from its digits
+    when it has more of them than `dim`, and no entry may be given twice.
+    `name` names the body in errors; `expected` is the error for a line that
+    is not an entry line.
+    """
+
+    def __init__(self, name: str, rank: int, dim: int, backend: str, expected: str):
+        self.name, self.rank, self.dim = name, rank, dim
+        self.backend, self.expected = backend, expected
+        self.entries = [scalar_zero(backend)] * dense_size(dim, rank)
+        self.filled: set[int] = set()
+
+    def read(self, text: str, lineno: int) -> None:
+        left, eq, right = text.partition("=")
+        fields = left.split()
+        if not eq or not all(field.isdecimal() for field in fields):
+            raise ParseError(self.expected, line=lineno, column=1)
+        if len(fields) != self.rank:
+            raise ParseError(f"expected {self.rank} indices, got {len(fields)}",
+                             line=lineno, column=1)
+        name, dim, flat = self.name, self.dim, 0
+        for field in fields:
+            value = read_decimal(field, dim, lambda _: ParseError(
+                f"{name} index of {len(field)} digits out of range 1..{dim}", line=lineno))
+            if not 1 <= value <= dim:
+                raise ParseError(f"{name} index {value} out of range 1..{dim}", line=lineno)
+            flat = flat * dim + value - 1
+        if flat in self.filled:
+            key = " ".join(field.lstrip("0") for field in fields)
+            raise ParseError(f"duplicate {name} entry {key}", line=lineno)
+        self.filled.add(flat)
+        self.entries[flat] = parse_scalar(right, self.backend)
+
+
+def entry_lines(tensor: LabeledTensor, prefix: str = "") -> list[str]:
+    """The entry lines of the nonzero entries of `tensor`, in row-major
+    order, each after `prefix`; the inverse of :class:`EntryReader`."""
+    backend = tensor.backend
+    names = [str(v) for v in range(1, (tensor.dimension or 1) + 1)]
+    return [f"{prefix}{' '.join(assign)} = {format_scalar(value, backend)}".lstrip()
+            for assign, value in zip(itertools.product(names, repeat=tensor.rank),
+                                     tensor.entries)
+            if value]
 
 
 def parse_tensor(text: str, backend: str | None = None) -> LabeledTensor:
     """Parse the literal format. Backend is auto-detected from the scalar
     syntax unless given explicitly."""
-    lines = [(n, raw.strip()) for n, raw in enumerate(text.splitlines(), start=1)]
-    lines = [(n, s) for n, s in lines if s]
+    lines = numbered_lines(text)
     if not lines:
         raise ParseError("empty tensor literal")
     lineno, header = lines[0]
-    m = _TENSOR_HEADER_RE.match(header)
+    m = _TENSOR_HEADER_RE.match(header.strip())
     if not m:
         raise ParseError("expected 'tensor dim=<n> indices=[...]'", line=lineno, column=1)
-    body = m.group("indices").strip()
-    parts = [part.strip() for part in body.split(",")] if body else []
-    for part in parts:
-        if len(part) < 2 or part[0] not in "+-" or not _LABEL_RE.fullmatch(part[1:]):
-            raise ParseError(f"bad index {part!r}", line=lineno)
-    rank = len(parts)
+    signs = signed_labels(m.group("indices"),
+                          lambda item, _: ParseError(f"bad index {item!r}", line=lineno))
+    rank = len(signs)
     dim = header_dimension(m.group("dim"), rank)
-    indices = [SignedIndex(part[1:], Orientation(part[0]), dim) for part in parts]
+    indices = tuple(SignedIndex(label, sign, dim) for label, sign in signs)
     if backend is None:
         scalars = [s.rsplit("=", 1)[1] for _, s in lines[1:] if "=" in s]
         backend = COMPLEX if any(("i" in s or "." in s) for s in scalars) else RATIONAL
-
-    entries = [scalar_zero(backend)] * dense_size(dim, rank)
-    filled = set()
+    body = EntryReader("tensor", rank, dim, backend, "expected '<i> <j> ... = <scalar>'")
     for lineno, line in lines[1:]:
-        if "=" not in line:
-            raise ParseError("expected '<i> <j> ... = <scalar>'", line=lineno, column=1)
-        left, right = line.split("=", 1)
-        parts = left.split()
-        if len(parts) != rank:
-            raise ParseError(f"expected {rank} indices, got {len(parts)}",
-                             line=lineno, column=1)
-        try:
-            assign = [int(p) - 1 for p in parts]
-        except ValueError:
-            raise ParseError(f"bad entry indices {left.strip()!r}",
-                             line=lineno, column=1) from None
-        if any(v < 0 or v >= dim for v in assign) and rank:
-            raise ParseError(f"entry index out of range 1..{dim}", line=lineno, column=1)
-        flat = 0
-        for v in assign:
-            flat = flat * dim + v
-        if flat in filled:
-            raise ParseError(f"duplicate entry for indices {left.strip()}", line=lineno)
-        filled.add(flat)
-        entries[flat] = parse_scalar(right.strip(), backend)
-    return LabeledTensor(tuple(indices), entries, backend)
+        body.read(line, lineno)
+    return LabeledTensor(indices, body.entries, backend)
 
 
 def format_tensor(tensor: LabeledTensor) -> str:
     """Inverse of :func:`parse_tensor`; zero entries are omitted."""
-    dim = tensor.dimension or 1
     body = ",".join(str(ix) for ix in tensor.indices)
-    lines = [f"tensor dim={dim} indices=[{body}]"]
-    zero = scalar_zero(tensor.backend)
-    for assign, value in zip(tensor.assignments(), tensor.entries):
-        if value == zero:
-            continue
-        left = " ".join(str(v + 1) for v in assign)
-        scalar = format_scalar(value, tensor.backend)
-        lines.append(f"{left} = {scalar}".lstrip())
-    return "\n".join(lines)
+    return "\n".join([f"tensor dim={tensor.dimension or 1} indices=[{body}]"]
+                     + entry_lines(tensor))

@@ -38,6 +38,7 @@ from .orientation import PLUS
 from .tensor import (
     DEFAULT_TOLERANCE,
     RATIONAL,
+    EntryReader,
     LabeledTensor,
     Scalar,
     SignedIndex,
@@ -46,9 +47,9 @@ from .tensor import (
     contract_within,
     dense_size,
     detect_backend,
-    format_scalar,
+    entry_lines,
     header_dimension,
-    parse_scalar,
+    numbered_lines,
     scalar_zero,
 )
 
@@ -279,18 +280,17 @@ def grid_search_dim1(height: int) -> list[TqftData]:
 
 _TQFT_HEADER_RE = re.compile(
     r"^tqft\s+dim=(?P<dim>\d+)\s+backend=(?P<backend>rational|complex)\s*$")
-_D_LINE_RE = re.compile(r"^d\s+(?P<i>\d+)\s*=\s*(?P<value>.+)$")
-_P_LINE_RE = re.compile(r"^p\s+(?P<i>\d+)\s+(?P<j>\d+)\s+(?P<k>\d+)\s*=\s*(?P<value>.+)$")
+_BODY_RE = re.compile(r"\s*(?P<name>[dp])\s+(?P<entry>.*)")
+_DATA_LINE = "expected 'd <i> = <scalar>' or 'p <i> <j> <k> = <scalar>'"
 
 
 def parse_tqft(text: str) -> TqftData:
     """Parse the data file format and build validated TqftData."""
-    lines = [(n, raw.strip()) for n, raw in enumerate(text.splitlines(), start=1)]
-    lines = [(n, s) for n, s in lines if s]
+    lines = numbered_lines(text)
     if not lines:
         raise ParseError("empty data file")
     lineno, header = lines[0]
-    m = _TQFT_HEADER_RE.match(header)
+    m = _TQFT_HEADER_RE.match(header.strip())
     if not m:
         raise ParseError("expected 'tqft dim=<n> backend=<rational|complex>'",
                          line=lineno, column=1)
@@ -298,60 +298,20 @@ def parse_tqft(text: str) -> TqftData:
     if n < 1:
         raise ParseError("dimension must be positive", line=lineno)
     backend = m.group("backend")
-    p_entries = [scalar_zero(backend)] * dense_size(n, 3)
-    d_entries = [scalar_zero(backend)] * n
-    seen: set[tuple] = set()
+    bodies = {name: EntryReader(name, rank, n, backend, _DATA_LINE)
+              for name, rank in (("d", 1), ("p", 3))}
     for lineno, line in lines[1:]:
-        dm = _D_LINE_RE.match(line)
-        pm = _P_LINE_RE.match(line)
-        if dm:
-            i = _entry_index(dm.group("i"), n, "d", lineno)
-            if not 1 <= i <= n:
-                raise ParseError(f"d index {i} out of range 1..{n}", line=lineno)
-            key = ("d", i)
-            if key in seen:
-                raise ParseError(f"duplicate entry d {i}", line=lineno)
-            seen.add(key)
-            d_entries[i - 1] = parse_scalar(dm.group("value"), backend)
-        elif pm:
-            ijk = tuple(_entry_index(pm.group(g), n, "p", lineno) for g in "ijk")
-            if not all(1 <= v <= n for v in ijk):
-                raise ParseError(f"p index out of range 1..{n}", line=lineno)
-            key = ("p",) + ijk
-            if key in seen:
-                raise ParseError(f"duplicate entry p {ijk}", line=lineno)
-            seen.add(key)
-            i, j, k = (v - 1 for v in ijk)
-            p_entries[(i * n + j) * n + k] = parse_scalar(pm.group("value"), backend)
-        else:
-            raise ParseError("expected 'd <i> = <scalar>' or 'p <i> <j> <k> = <scalar>'",
-                             line=lineno, column=1)
+        m = _BODY_RE.fullmatch(line)
+        if not m:
+            raise ParseError(_DATA_LINE, line=lineno, column=1)
+        bodies[m.group("name")].read(m.group("entry"), lineno)
     try:
-        return TqftData(d_entries, p_entries, backend)
+        return TqftData(bodies["d"].entries, bodies["p"].entries, backend)
     except RelationError as exc:
         raise ParseError(str(exc)) from exc
 
 
-def _entry_index(digits: str, n: int, tensor: str, lineno: int) -> int:
-    """The 1-based index `digits` of a d or p line; one with more digits
-    than n is out of range, and is refused before int() sees it."""
-    significant = digits.lstrip("0")
-    if len(significant) > len(str(n)):
-        raise ParseError(
-            f"{tensor} index of {len(digits)} digits out of range 1..{n}", line=lineno)
-    return int(significant or "0")
-
-
 def format_tqft(data: TqftData) -> str:
     """Inverse of :func:`parse_tqft`; zero entries are omitted."""
-    n = data.dimension
-    lines = [f"tqft dim={n} backend={data.backend}"]
-    for i in range(n):
-        v = data.d_entry(i)
-        if v != 0:
-            lines.append(f"d {i + 1} = {format_scalar(v, data.backend)}")
-    for i, j, k in itertools.product(range(n), repeat=3):
-        v = data.p_entry(i, j, k)
-        if v != 0:
-            lines.append(f"p {i + 1} {j + 1} {k + 1} = {format_scalar(v, data.backend)}")
-    return "\n".join(lines)
+    return "\n".join([f"tqft dim={data.dimension} backend={data.backend}"]
+                     + entry_lines(data.d, "d ") + entry_lines(data.p, "p "))
