@@ -29,6 +29,12 @@ entries are zero)::
     tensor dim=2 indices=[+i,-j]
     1 1 = 1
     2 2 = 1/2
+
+The entry-line grammar (:class:`EntryReader`, :func:`entry_lines`) is shared
+with the ``tqft`` data format, whose ``d``/``p`` lines are entry lines after
+a prefix; so are the ``+a,-b`` list reader (:func:`signed_labels`, also used
+for surface boundaries) and the bounded decimal reader (:func:`read_decimal`)
+that every numeric field goes through before ``int()``.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -143,8 +150,17 @@ def scalars_equal(a: Scalar, b: Scalar, backend: str,
 
 
 def format_scalar(value: Scalar, backend: str) -> str:
+    """`value` as text.  An exact value whose numerator or denominator has
+    more decimal digits than the interpreter prints (sys.get_int_max_str_digits,
+    4300 by default) raises DimensionError; the limit is not lifted."""
     if backend == RATIONAL:
-        return str(value)
+        try:
+            return str(value)
+        except ValueError:
+            bits = value.numerator.bit_length() + value.denominator.bit_length()
+            raise DimensionError(
+                f"an exact result of {bits} bits exceeds the limit of "
+                f"{sys.get_int_max_str_digits()} digits for printing an integer") from None
     return f"{value.real:.12g}{value.imag:+.12g}i"
 
 
@@ -155,7 +171,11 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise ParseError(f"bad rational scalar {text!r}; expected p or p/q")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError:  # an integer past the interpreter's digit limit
+        raise ParseError(f"rational scalar of {len(text)} characters exceeds the limit "
+                         f"of {sys.get_int_max_str_digits()} digits per integer") from None
 
 
 def parse_complex(text: str) -> complex:
@@ -542,7 +562,7 @@ class EntryReader:
             flat = flat * dim + value - 1
         if flat in self.filled:
             key = " ".join(field.lstrip("0") for field in fields)
-            raise ParseError(f"duplicate {name} entry {key}", line=lineno)
+            raise ParseError(f"duplicate {name} entry {key}".rstrip(), line=lineno)
         self.filled.add(flat)
         self.entries[flat] = parse_scalar(right, self.backend)
 
@@ -572,6 +592,10 @@ def parse_tensor(text: str, backend: str | None = None) -> LabeledTensor:
                           lambda item, _: ParseError(f"bad index {item!r}", line=lineno))
     rank = len(signs)
     dim = header_dimension(m.group("dim"), rank)
+    if dim < 1:
+        raise ParseError("dimension must be positive", line=lineno)
+    if len({label for label, _ in signs}) != rank:
+        raise ParseError("repeated index label", line=lineno)
     indices = tuple(SignedIndex(label, sign, dim) for label, sign in signs)
     if backend is None:
         scalars = [s.rsplit("=", 1)[1] for _, s in lines[1:] if "=" in s]

@@ -22,6 +22,9 @@ rejects p entries that are not symmetric as supplied)::
     tqft dim=2 backend=rational
     d 1 = 1
     p 1 1 1 = 1
+
+Each ``d``/``p`` line is a tensor-literal entry line (see ``tqft2d.tensor``)
+after its prefix, read by ``EntryReader`` and written by ``entry_lines``.
 """
 
 from __future__ import annotations

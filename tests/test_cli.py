@@ -175,6 +175,16 @@ class TestInputBudgets:
         assert code == 3 and captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    def test_exact_result_past_the_print_limit(self, write, capsys):
+        t = 10 ** 2200  # Z(genus 2) = t**-2 has a denominator of 4401 digits
+        path = write("big.tqft", f"tqft dim=1 backend=rational\nd 1 = {t}\np 1 1 1 = 1/{t}\n")
+        assert main(["closed", path, "--genus", "2"]) == 3
+        captured = capsys.readouterr()
+        bits = 1 + (t ** 2).bit_length()
+        assert captured.out == ""
+        assert captured.err == (f"error: an exact result of {bits} bits exceeds the limit "
+                                "of 4300 digits for printing an integer\n")
+
     def test_index_too_long_for_int_is_a_parse_error(self, write, capsys):
         text = f"tqft dim=1 backend=rational\nd {'9' * 5000} = 1\n"
         assert main(["check", write("long.tqft", text)]) == 2

@@ -209,6 +209,15 @@ class TestTextFormat:
         assert err.value.line == 1
         assert err.value.column is not None
 
+    @pytest.mark.parametrize("line", [
+        "component orient=+ genus=0 boundary=[+a,*b]",
+        "  component orient=+ genus=0 boundary=[ +a ,  *b ]",
+        "component orient=+ genus=0 boundary=[*b]"])
+    def test_bad_circle_column_points_at_the_circle(self, line):
+        with pytest.raises(ParseError) as err:
+            parse_surface(line)
+        assert str(err.value) == f"line 1, col {line.index('*') + 1}: bad boundary circle '*b'"
+
     def test_genus_budget(self):
         line = "component orient=+ genus={} boundary=[+a]\n"
         assert parse_surface(line.format(MAX_GENUS)).components[0].genus == MAX_GENUS

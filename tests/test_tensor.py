@@ -1,4 +1,6 @@
+import cmath
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -294,6 +296,139 @@ class TestLiteralFormat:
     def test_duplicate_entry(self):
         with pytest.raises(ParseError):
             parse_tensor("tensor dim=2 indices=[+i]\n1 = 1\n1 = 2")
+
+    def test_index_too_long_for_int_is_refused_from_its_digits(self):
+        with pytest.raises(ParseError) as err:
+            parse_tensor(f"tensor dim=2 indices=[+a]\n{'9' * 5000} = 1\n")
+        assert err.value.line == 2
+        assert str(err.value) == "line 2: tensor index of 5000 digits out of range 1..2"
+        assert len(str(err.value)) < 200
+
+    @pytest.mark.parametrize("field", ["+1", "0_2", "-1", "1.0", "0x1"])
+    def test_index_is_a_digit_string(self, field):
+        with pytest.raises(ParseError, match="^line 3, col 1: expected '<i> <j>"):
+            parse_tensor(f"tensor dim=2 indices=[+a,-b]\n1 1 = 1\n1 {field} = 2\n")
+
+    @pytest.mark.parametrize("line,message", [
+        ("0 1 = 1", "tensor index 0 out of range 1..2"),
+        ("1 3 = 1", "tensor index 3 out of range 1..2"),
+        ("1 = 1", "expected 2 indices, got 1"),
+        ("1 2 = 1\n2 1 = 1\n0001 02 = 1", "duplicate tensor entry 1 2")])
+    def test_entry_errors_name_the_first_bad_line(self, line, message):
+        with pytest.raises(ParseError, match=f"^line {line.count(chr(10)) + 2}(, col 1)?: "
+                                             f"{message}$"):
+            parse_tensor(f"tensor dim=2 indices=[+a,-b]\n{line}\n")
+
+    def test_writer_omits_zeros_in_row_major_order(self):
+        t = rational("+a -b", 2, [0, Fraction(1, 2), 3, 0])
+        assert format_tensor(t) == "tensor dim=2 indices=[+a,-b]\n1 2 = 1/2\n2 1 = 3"
+        assert format_tensor(LabeledTensor.scalar(Fraction(-5, 3))) == (
+            "tensor dim=1 indices=[]\n= -5/3")
+        z = LabeledTensor(idx("+a", 3), [0j, -0.0 + 0j, 1.5 - 2j])
+        assert format_tensor(z) == "tensor dim=3 indices=[+a]\n3 = 1.5-2i"
+
+    def test_index_leading_zeros_are_not_digits_of_size(self):
+        t = parse_tensor(f"tensor dim=2 indices=[+a]\n{'0' * 5000}2 = 1\n")
+        assert t.entries == (0, 1)
+        with pytest.raises(ParseError, match="^line 2: tensor index 3 out of range 1..2$"):
+            parse_tensor("tensor dim=2 indices=[+a]\n003 = 1\n")
+
+    def test_header_errors_come_before_entry_errors(self):
+        for header, message in [("tensor dim=0 indices=[+a]", "dimension must be positive"),
+                                ("tensor dim=2 indices=[+a,-a]", "repeated index label")]:
+            with pytest.raises(ParseError, match=f"^line 1: {message}$"):
+                parse_tensor(f"{header}\nnot an entry\n")
+
+    def test_rational_past_the_digit_limit_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="rational scalar of 5002 characters exceeds"):
+            parse_rational("1/" + "7" * 5000)
+
+    def test_print_limit(self):
+        value = 1 + Fraction(2) ** -19998
+        with pytest.raises(DimensionError) as err:
+            format_scalar(value, RATIONAL)
+        assert str(err.value) == ("an exact result of 39998 bits exceeds the limit of "
+                                  "4300 digits for printing an integer")
+        assert format_scalar(Fraction(1, 10 ** 4299), RATIONAL) == f"1/1{'0' * 4299}"
+
+
+# -- the complex scalar parser against the one it replaced -------------------
+
+def reference_parse_complex(text: str) -> complex:
+    """The hand-written a+bi splitter that parse_complex replaced."""
+    s = text.strip().replace(" ", "")
+    if not s:
+        raise ParseError("empty complex scalar")
+    try:
+        if not s.endswith("i"):
+            value = complex(float(s), 0.0)
+        else:
+            body = s[:-1]
+            # split at the last +/- that is neither leading nor an exponent sign
+            split = -1
+            for k in range(len(body) - 1, 0, -1):
+                if body[k] in "+-" and body[k - 1] not in "eE":
+                    split = k
+                    break
+            if split == -1:
+                real_part, imag_part = "0", body
+            else:
+                real_part, imag_part = body[:split], body[split:]
+            if imag_part in ("", "+"):
+                imag = 1.0
+            elif imag_part == "-":
+                imag = -1.0
+            else:
+                imag = float(imag_part)
+            value = complex(float(real_part), imag)
+    except ValueError:
+        raise ParseError(f"bad complex scalar {text!r}; expected a+bi") from None
+    if not cmath.isfinite(value):
+        raise ParseError(f"non-finite complex scalar {text!r}")
+    return value
+
+
+def complex_outcome(parse, text):
+    """The value's bits (the sign of each part, zeros included) or the error."""
+    try:
+        value = parse(text)
+    except ParseError as exc:
+        return "error", str(exc)
+    return ("value", math.copysign(1.0, value.real), abs(value.real),
+            math.copysign(1.0, value.imag), abs(value.imag))
+
+
+COMPLEX_PIECES = list("0123456789.eE+-ij()_ ") + [
+    "nan", "inf", "infinity", "Infinity", "1e308", "1e400", "\u0661", "\t", "\xa0"]
+
+
+def assert_matches_reference(text):
+    got = complex_outcome(parse_complex, text)
+    expected = complex_outcome(reference_parse_complex, text)
+    if not any(c.isspace() for c in text.strip().replace(" ", "")):
+        assert got == expected
+        return
+    # Whitespace other than spaces inside the text: the reference split
+    # around it and float() stripped it from each part, so it accepted some
+    # such texts; parse_complex ignores all whitespace.  Whatever the
+    # reference accepts keeps its bits.
+    if expected[0] == "value":
+        assert got == expected
+    assert got[0] == complex_outcome(reference_parse_complex, "".join(text.split()))[0]
+
+
+@given(st.lists(st.sampled_from(COMPLEX_PIECES), max_size=10).map("".join))
+@settings(max_examples=1500)
+def test_parse_complex_matches_the_reference(text):
+    assert_matches_reference(text)
+
+
+@pytest.mark.parametrize("text", [
+    "i", "-i", "+i", "-0i", "-0", "0-0i", "-0-0i", "1-i", "1e5+2e-3i", "1e+5i", "1E-5-i",
+    "1_0i", "(1+2i)", "1+2j", "1ji", "--1i", "1+-2i", "e+1i", "1e+i", " 1 + 2 i ",
+    "\u0661+\u0662i", "1\t+2i", "2\ti", "1\t.5", "infi", "1+nani", ""])
+def test_parse_complex_edges_match_the_reference(text):
+    assert_matches_reference(text)
 
 
 # -- brute-force oracle --------------------------------------------------------

@@ -571,6 +571,25 @@ class TestDataFileFormat:
         assert str(err.value) == (f"line 3: {line[0]} index of 5000 digits "
                                   "out of range 1..2")
 
+    @pytest.mark.parametrize("line", [
+        "d +1 = 1", "d 0_2 = 1", "p 1 -1 1 = 1", "p 1 1 1.0 = 1", "d1 = 1", "q 1 = 1"])
+    def test_not_an_entry_line(self, line):
+        with pytest.raises(ParseError, match="^line 2, col 1: expected 'd <i> = <scalar>'"):
+            parse_tqft(f"tqft dim=2 backend=rational\n{line}\n")
+
+    def test_writer_gives_d_then_p_entry_lines(self):
+        data = TqftData([0, 2], symmetric_p(2, {(0, 0, 1): Fraction(1, 3)}))
+        assert format_tqft(data) == ("tqft dim=2 backend=rational\nd 2 = 2\n"
+                                     "p 1 1 2 = 1/3\np 1 2 1 = 1/3\np 2 1 1 = 1/3")
+
+    @pytest.mark.parametrize("line,message", [
+        ("d 0 = 1", "d index 0 out of range 1..2"),
+        ("p 1 0 1 = 1", "p index 0 out of range 1..2"),
+        ("p 1 1 = 1", "expected 3 indices, got 2")])
+    def test_entry_errors(self, line, message):
+        with pytest.raises(ParseError, match=f"^line 2(, col 1)?: {message}$"):
+            parse_tqft(f"tqft dim=2 backend=rational\n{line}\n")
+
     def test_index_digits_count_without_leading_zeros(self):
         data = parse_tqft(f"tqft dim=2 backend=rational\nd {'0' * 5000}2 = 1\n"
                           f"p 1 1 {'0' * 5000}1 = 1\n")
