@@ -21,9 +21,11 @@ from .functor import (
     Pants,
     PantsDecomposition,
     VerificationReport,
+    annulus_tensor,
     apply_exchange,
     apply_gluing,
     apply_isomorphism,
+    base_invariants,
     closed_invariant,
     exchange_moves,
     invariant,
@@ -63,8 +65,6 @@ from .tqft import (
     RelationReport,
     RelationResult,
     TqftData,
-    annulus_tensor,
-    base_invariants,
     check_relations,
     diagonal_family,
     format_tqft,

@@ -5,8 +5,8 @@ into 2g-2+n pairs-of-pants along 3g-3+n internal circles; each pants node
 receives a copy of the rank-3 generator, internal circles are contracted
 away via the Kronecker pairing, and one index per boundary circle survives,
 carrying that circle's label and orientation sign.  The sphere, disk,
-annulus and torus have no pants decomposition and take their tensors from
-the closed-form table instead.  Components multiply via the tensor product.
+annulus and torus have no pants decomposition; each is a fixed network of
+d and p nodes instead.  Components multiply via the tensor product.
 The contraction planner is greedy (smallest intermediate rank first) and
 plans a network of P pants in O(P log P).
 
@@ -50,10 +50,17 @@ from .tensor import (
     genus_over_budget,
     scalars_equal,
 )
-from .tqft import _CLOSED_FORM, TqftData, check_relations
+from .tqft import TqftData, check_relations
 
-# Shapes with no pants decomposition, and their entries in the closed-form table.
-EXCEPTIONAL = {(0, 0): "sphere", (0, 1): "disk", (0, 2): "annulus", (1, 0): "torus"}
+# The shapes with no pants decomposition as networks of generator nodes, one
+# leg tuple per node (d has one leg, p three).  b1, b2 are the boundary
+# circles in order; cut circles carry an apostrophe, which no label has.
+EXCEPTIONAL = {
+    (0, 0): (("c'",), ("c'",)),             # sphere: d glued to d
+    (0, 1): (("b1",),),                     # disk: one d
+    (0, 2): (("c'",), ("c'", "b1", "b2")),  # annulus: d glued to p
+    (1, 0): (("c'",), ("c'", "h'", "h'")),  # torus: the annulus glued to itself
+}
 STRATEGIES = ("chain", "alternate")
 
 
@@ -190,7 +197,7 @@ def pants_decomposition(genus: int, boundary_count: int, strategy: str = "chain"
         raise ValueError("genus and boundary count must be non-negative")
     if g > MAX_GENUS:
         raise genus_over_budget(g)
-    if (g, n) in EXCEPTIONAL or 2 * g - 2 + n < 1:
+    if 2 * g - 2 + n < 1:  # the EXCEPTIONAL shapes
         raise ValueError(
             f"(genus={g}, boundary={n}) has no pants decomposition")
     if strategy not in STRATEGIES:
@@ -301,28 +308,30 @@ def random_rewrite(decomposition: PantsDecomposition, rng: random.Random,
 
 # -- tensor assembly ---------------------------------------------------------
 
-def _pants_network(data: TqftData, decomposition: PantsDecomposition
+def _pants_network(data: TqftData, nodes: Iterable[Sequence[str]]
                    ) -> tuple[list[LabeledTensor], list[tuple[str, str]]]:
     """Node tensors plus the contraction pairs for the internal circles.
 
-    A label seen before is, in a valid decomposition, an internal circle's
-    second leg: it gets an apostrophe (no surface label has one) and the
-    opposite sign, so each pair is a legal +/- contraction.
+    Each node is a tuple of leg labels: a one-legged node gets the entries
+    of d and a three-legged node those of p.  A label seen before is, in a
+    valid network, an internal circle's second leg: it gets an apostrophe
+    and the opposite sign, so each pair is a legal +/- contraction.
     """
     n = data.dimension
+    generator = {1: data.d.entries, 3: data.p.entries}
     seen: set[str] = set()
     tensors = []
     pairs = []
-    for node in decomposition.pants:
+    for legs in nodes:
         indices = []
-        for leg in node.legs:
+        for leg in legs:
             if leg in seen:
                 indices.append(SignedIndex(leg + "'", MINUS, n))
                 pairs.append((leg, leg + "'"))
             else:
                 seen.add(leg)
                 indices.append(SignedIndex(leg, PLUS, n))
-        tensors.append(LabeledTensor._of(tuple(indices), data.p.entries, data.backend))
+        tensors.append(LabeledTensor._of(tuple(indices), generator[len(legs)], data.backend))
     return tensors, pairs
 
 
@@ -395,10 +404,12 @@ def _contract_network(tensors: list[LabeledTensor],
     return first
 
 
-def _finish_component(tensor: LabeledTensor,
-                      boundary: Sequence[BoundaryCircle]) -> LabeledTensor:
-    """Order external indices by the boundary sequence and stamp each with
-    its circle's orientation sign (entries unchanged)."""
+def _network_invariant(data: TqftData, nodes: Iterable[Sequence[str]],
+                       boundary: Sequence[BoundaryCircle]) -> LabeledTensor:
+    """Contract the network of generator `nodes`, then order the external
+    indices by the boundary sequence and stamp each with its circle's
+    orientation sign (entries unchanged)."""
+    tensor = _contract_network(*_pants_network(data, nodes))
     return apply_isomorphism(
         tensor, [tensor.position(c.label) for c in boundary],
         [c.label for c in boundary if c.orientation is MINUS])
@@ -411,24 +422,19 @@ def invariant_of_decomposition(data: TqftData,
     decomposition.require_valid()
     if {c.label for c in boundary} != set(decomposition.external):
         raise LabelError("decomposition external labels do not match the boundary")
-    tensors, pairs = _pants_network(data, decomposition)
-    result = _contract_network(tensors, pairs)
-    return _finish_component(result, boundary)
+    return _network_invariant(
+        data, [node.legs for node in decomposition.pants], boundary)
 
 
 def _component_invariant(data: TqftData, component: ConnectedSurface,
                          strategy: str) -> LabeledTensor:
     g, n = component.genus, len(component.boundary)
+    labels = [c.label for c in component.boundary]
     if (g, n) in EXCEPTIONAL:
-        # The table's index order is the boundary order; only labels and
-        # signs change, and the surface's labels are distinct.
-        base = _CLOSED_FORM[EXCEPTIONAL[g, n]](data)
-        return LabeledTensor._of(
-            tuple(SignedIndex(c.label, c.orientation, data.dimension)
-                  for c in component.boundary),
-            base.entries, data.backend)
-    decomposition = pants_decomposition(
-        g, n, strategy, labels=[c.label for c in component.boundary])
+        rename = {f"b{k + 1}": label for k, label in enumerate(labels)}
+        nodes = [[rename.get(leg, leg) for leg in legs] for legs in EXCEPTIONAL[g, n]]
+        return _network_invariant(data, nodes, component.boundary)
+    decomposition = pants_decomposition(g, n, strategy, labels=labels)
     return invariant_of_decomposition(data, decomposition, component.boundary)
 
 
@@ -451,8 +457,25 @@ def invariant(data: TqftData, surface: Surface, *, strategy: str = "chain",
     tensors = [_component_invariant(data, component, strategy)
                for component in surface.components]
     if not tensors:
-        return _CLOSED_FORM["empty"](data)
+        return LabeledTensor.scalar(1, data.backend)
     return functools.reduce(LabeledTensor.tensor_product, tensors)
+
+
+def annulus_tensor(data: TqftData) -> LabeledTensor:
+    """The annulus's invariant c[i,j] = sum_k d[k] p[k,i,j], indices (-i, +j),
+    relations or not; when they hold, c is an idempotent matrix fixing d."""
+    return invariant(data, Surface.annulus("-i,+j"), require_relations=False)
+
+
+def base_invariants(data: TqftData) -> dict[str, LabeledTensor]:
+    """The invariants of the surfaces with no pants decomposition, relations
+    or not: empty -> 1, sphere -> sum_i d[i]^2, disk -> d[i],
+    annulus -> sum_k d[k] p[k,i,j], torus -> sum_{k,i} d[k] p[k,i,i]."""
+    surfaces = {"empty": Surface.empty(), "sphere": Surface.sphere(),
+                "disk": Surface.disk("+i"), "annulus": Surface.annulus("-i,+j"),
+                "torus": Surface.torus()}
+    return {name: invariant(data, surface, require_relations=False)
+            for name, surface in surfaces.items()}
 
 
 def _require_relations(data: TqftData, tolerance: float) -> None:

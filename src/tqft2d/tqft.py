@@ -14,7 +14,8 @@ side of exchange and of the absorption relations is a contraction by the
 tensor engine, compared entrywise.  The verdict is a property of the datum,
 so it is computed once per datum and decision limit and stored on the
 immutable ``TqftData``.  When the relations hold, the annulus tensor
-c[i,j] = d[k] p[k,i,j] is an idempotent matrix fixing d.
+c[i,j] = d[k] p[k,i,j] (built, like every surface tensor, in ``functor``)
+is an idempotent matrix fixing d.
 
 Data file format (1-based indices, omitted entries are zero; the loader
 rejects p entries that are not symmetric as supplied)::
@@ -47,7 +48,6 @@ from .tensor import (
     SignedIndex,
     coerce_scalar,
     contract_between,
-    contract_within,
     dense_size,
     detect_backend,
     entry_lines,
@@ -193,36 +193,6 @@ def _relation_report(data: TqftData, limit: float) -> RelationReport:
             worst = math.nan  # only a NaN gap fails without exceeding the limit
         results.append(RelationResult(name, passed, worst))
     return RelationReport(tuple(results))
-
-
-def annulus_tensor(data: TqftData) -> LabeledTensor:
-    """The cylinder tensor c[i,j] = sum_k d[k] p[k,i,j], indices (-i, +j).
-
-    When the relations hold, c is idempotent as a matrix and fixes d.
-    """
-    disk = data.d.relabel({"i": "h"}).flip_signs()
-    c = contract_between(disk, data.p, [("h", "i")])
-    return c.relabel({"j": "i", "k": "j"}).flip_signs(["i"])
-
-
-# Tensors of the surfaces with no pants decomposition, each built on its own.
-_CLOSED_FORM = {
-    "empty": lambda data: LabeledTensor.scalar(1, data.backend),
-    "sphere": lambda data: contract_between(
-        data.d.relabel({"i": "h"}).flip_signs(), data.d, [("h", "i")]),
-    "disk": lambda data: data.d,
-    "annulus": annulus_tensor,
-    "torus": lambda data: contract_within(annulus_tensor(data), [("i", "j")]),
-}
-
-
-def base_invariants(data: TqftData) -> dict[str, LabeledTensor]:
-    """Tensors of the surfaces with no pants decomposition.
-
-    empty -> 1, sphere -> sum_i d[i]^2, disk -> d[i],
-    annulus -> sum_k d[k] p[k,i,j], torus -> sum_{k,i} d[k] p[k,i,i].
-    """
-    return {name: build(data) for name, build in _CLOSED_FORM.items()}
 
 
 def hermitian_check(data: TqftData,

@@ -240,8 +240,8 @@ class TestVerify:
         path = write("d2.tqft", format_tqft(diagonal_family([Fraction(1), Fraction(2)])))
         code = main(["verify", path, "--suite", "all", "--trials", str(trials)])
         assert code == 0 and capsys.readouterr().out.count("suite ") == 3
-        # one relation check makes four contractions; the rest of the calls
-        # come from closed-form surfaces, which need trials to appear
+        # one relation check makes four contractions; surface tensors are
+        # contracted in the functor module, whose calls are not counted here
         assert callers.count("_relation_report") == 4
         if not trials:
             assert len(callers) == 4

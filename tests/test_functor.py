@@ -816,7 +816,8 @@ class TestPlanner:
                              ids=["rational", "complex"])
     def test_same_plan_as_the_scan_planner(self, monkeypatch, data):
         for decomposition in decompositions_up_to(5, 5):
-            tensors, pairs = _pants_network(data, decomposition)
+            tensors, pairs = _pants_network(
+                data, [node.legs for node in decomposition.pants])
             expected_calls, expected = self.recorded(
                 monkeypatch, scan_planner, tensors, pairs)
             calls, result = self.recorded(
