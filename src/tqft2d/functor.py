@@ -558,6 +558,17 @@ class VerificationReport:
         return "\n".join(c.to_text() for c in self.checks)
 
 
+def _start_suite(name: str, data: TqftData, trials: int, require_relations: bool,
+                 tolerance: float) -> VerificationReport:
+    """The empty report of suite `name`, after refusing a negative trial
+    count and, if required, data failing the relations."""
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
+    if require_relations:
+        _require_relations(data, tolerance)
+    return VerificationReport(name)
+
+
 def _rng(seed, *parts) -> random.Random:
     return random.Random(":".join(str(p) for p in [seed, *parts]))
 
@@ -610,9 +621,7 @@ def verify_decomposition_invariance(data: TqftData, g_max: int, n_max: int,
     symmetry of the rank-3 generator in this model, so regrouping moves are
     the only rewrites exercised.
     """
-    report = VerificationReport("moves")
-    if require_relations:
-        _require_relations(data, tolerance)
+    report = _start_suite("moves", data, trials, require_relations, tolerance)
     for g in range(g_max + 1):
         for n in range(n_max + 1):
             if 2 * g - 2 + n < 2:
@@ -683,9 +692,7 @@ def verify_functoriality(data: TqftData, trials: int, seed=0, *,
     """Random two-stage gluings: contracting step by step, contracting the
     composed spec in one shot, and the invariant of the glued surface must
     all agree."""
-    report = VerificationReport("functor")
-    if require_relations:
-        _require_relations(data, tolerance)
+    report = _start_suite("functor", data, trials, require_relations, tolerance)
     for t in range(trials):
         rng = _rng(seed, "functor", t)
         surface = random_surface(rng, prefix=f"t{t}_")
@@ -713,9 +720,7 @@ def verify_monoidal(data: TqftData, trials: int, seed=0, *,
                     tolerance: float = DEFAULT_TOLERANCE) -> VerificationReport:
     """Random pairs of surfaces: the invariant of the disjoint union must be
     the tensor product of the invariants."""
-    report = VerificationReport("monoidal")
-    if require_relations:
-        _require_relations(data, tolerance)
+    report = _start_suite("monoidal", data, trials, require_relations, tolerance)
     for t in range(trials):
         rng = _rng(seed, "monoidal", t)
         left = random_surface(rng, prefix=f"l{t}_", max_total_boundary=4)

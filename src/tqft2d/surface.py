@@ -171,13 +171,6 @@ class Surface:
         """Sorted component fingerprints; the order-independent identity of a surface."""
         return tuple(sorted(comp.fingerprint() for comp in self.components))
 
-    def find_circle(self, label: str) -> BoundaryCircle:
-        for comp in self.components:
-            for c in comp.boundary:
-                if c.label == label:
-                    return c
-        raise LabelError(f"unknown label {label}")
-
     # -- operations --------------------------------------------------------
 
     def disjoint_union(self, other: "Surface") -> "Surface":

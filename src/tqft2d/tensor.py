@@ -165,12 +165,22 @@ def format_scalar(value: Scalar, backend: str) -> str:
 
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
+# Longest scalar text an error message quotes in full.
+SCALAR_SHOWN = 100
+
+
+def _quoted(text: str) -> str:
+    """`text` quoted for an error message: whole up to SCALAR_SHOWN
+    characters, else its first SCALAR_SHOWN characters and its length."""
+    if len(text) <= SCALAR_SHOWN:
+        return repr(text)
+    return f"{text[:SCALAR_SHOWN]!r}... of {len(text)} characters"
 
 
 def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if not _RATIONAL_RE.match(text):
-        raise ParseError(f"bad rational scalar {text!r}; expected p or p/q")
+        raise ParseError(f"bad rational scalar {_quoted(text)}; expected p or p/q")
     try:
         return Fraction(text)
     except ValueError:  # an integer past the interpreter's digit limit
@@ -190,9 +200,9 @@ def parse_complex(text: str) -> complex:
     try:
         value = complex(s[:-1] + "j") if s.endswith("i") else complex(float(s), 0.0)
     except ValueError:
-        raise ParseError(f"bad complex scalar {text!r}; expected a+bi") from None
+        raise ParseError(f"bad complex scalar {_quoted(text)}; expected a+bi") from None
     if not cmath.isfinite(value):
-        raise ParseError(f"non-finite complex scalar {text!r}")
+        raise ParseError(f"non-finite complex scalar {_quoted(text)}")
     return value
 
 
@@ -564,7 +574,10 @@ class EntryReader:
             key = " ".join(field.lstrip("0") for field in fields)
             raise ParseError(f"duplicate {name} entry {key}".rstrip(), line=lineno)
         self.filled.add(flat)
-        self.entries[flat] = parse_scalar(right, self.backend)
+        try:
+            self.entries[flat] = parse_scalar(right, self.backend)
+        except ParseError as exc:
+            raise ParseError(str(exc), line=lineno) from None
 
 
 def entry_lines(tensor: LabeledTensor, prefix: str = "") -> list[str]:

@@ -45,6 +45,16 @@ class TestCheck:
         assert main(["check", write("nan.tqft", text)]) == 2
         assert capsys.readouterr().out == ""
 
+    def test_long_bad_scalar_is_one_short_parse_error_line(self, write, capsys):
+        text = "tqft dim=1 backend=rational\nd 1 = " + "x" * 3000 + "\n"
+        assert main(["check", write("long.tqft", text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and len(lines[0]) < 200
+        assert lines[0].startswith("parse error: line 2: bad rational scalar 'xxx")
+        assert lines[0].endswith("... of 3000 characters; expected p or p/q")
+
     def test_missing_file_is_a_parse_error(self, capsys):
         assert main(["check", "/nonexistent/file.tqft"]) == 2
 
@@ -225,6 +235,14 @@ class TestVerify:
     def test_bad_data_is_domain_error(self, write):
         assert main(["verify", write("t.tqft", BAD_FILE), "--suite", "moves",
                      "--trials", "1"]) == 3
+
+    @pytest.mark.parametrize("suite", ["all", "moves", "functor", "monoidal"])
+    def test_negative_trials_are_a_domain_error(self, write, capsys, suite):
+        path = write("t.tqft", T2_FILE)
+        assert main(["verify", path, "--suite", suite, "--trials", "-3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: trials must be non-negative, got -3\n"
 
     @pytest.mark.parametrize("trials", [0, 3])
     def test_all_suites_check_the_relations_once(self, write, capsys, monkeypatch,

@@ -632,6 +632,15 @@ class TestVerifyDecompositionInvariance:
         with pytest.raises(RelationError):
             verify_decomposition_invariance(bad_exchange_data(), 1, 2, 1)
 
+    @pytest.mark.parametrize("suite", [
+        lambda data, trials, **kw: verify_decomposition_invariance(data, 1, 2, trials, **kw),
+        verify_functoriality, verify_monoidal], ids=["moves", "functor", "monoidal"])
+    def test_negative_trials_rejected(self, suite):
+        for data, kw in [(D2, {}), (bad_exchange_data(), {"require_relations": False})]:
+            with pytest.raises(ValueError, match="^trials must be non-negative, got -1$"):
+                suite(data, -1, **kw)
+        assert suite(D2, 0).passed
+
     def test_report_serializes_line_oriented(self):
         report = verify_decomposition_invariance(D2, 1, 2, trials=1, seed=0)
         lines = report.to_text().splitlines()

@@ -29,6 +29,7 @@ from tqft2d import (
 import tqft2d.tensor as tensor_module
 from tqft2d.tensor import (
     MAX_ENTRIES,
+    SCALAR_SHOWN,
     contract_between,
     contract_within,
     dense_size,
@@ -265,6 +266,30 @@ class TestScalarFormat:
         assert parse_scalar("1/2", RATIONAL) == Fraction(1, 2)
         assert parse_scalar("1+0i", COMPLEX) == 1 + 0j
 
+    @pytest.mark.parametrize("backend,expected", [(RATIONAL, "p or p/q"),
+                                                  (COMPLEX, "a+bi")])
+    def test_bad_scalar_is_quoted_whole_up_to_the_bound(self, backend, expected):
+        for text in ["x", "y" * SCALAR_SHOWN]:
+            with pytest.raises(ParseError) as err:
+                parse_scalar(text, backend)
+            assert str(err.value) == f"bad {backend} scalar {text!r}; expected {expected}"
+
+    @pytest.mark.parametrize("backend,expected", [(RATIONAL, "p or p/q"),
+                                                  (COMPLEX, "a+bi")])
+    def test_long_bad_scalar_quotes_a_prefix_and_its_length(self, backend, expected):
+        for length in [SCALAR_SHOWN + 1, 3000, 100_000]:
+            with pytest.raises(ParseError) as err:
+                parse_scalar("x" * length, backend)
+            assert str(err.value) == (f"bad {backend} scalar {'x' * SCALAR_SHOWN!r}... "
+                                      f"of {length} characters; expected {expected}")
+
+    def test_long_non_finite_scalar_quotes_a_prefix_and_its_length(self):
+        text = "0" * 3000 + "1e400"
+        with pytest.raises(ParseError) as err:
+            parse_complex(text)
+        assert str(err.value) == (f"non-finite complex scalar {'0' * SCALAR_SHOWN!r}... "
+                                  "of 3005 characters")
+
 
 class TestLiteralFormat:
     def test_round_trip_rational(self):
@@ -326,6 +351,19 @@ class TestLiteralFormat:
             "tensor dim=1 indices=[]\n= -5/3")
         z = LabeledTensor(idx("+a", 3), [0j, -0.0 + 0j, 1.5 - 2j])
         assert format_tensor(z) == "tensor dim=3 indices=[+a]\n3 = 1.5-2i"
+
+    def test_bad_scalar_names_its_line(self):
+        with pytest.raises(ParseError) as err:
+            parse_tensor("tensor dim=2 indices=[+a]\n1 = 1\n2 = 1.5x\n", RATIONAL)
+        assert str(err.value) == "line 3: bad rational scalar '1.5x'; expected p or p/q"
+
+    def test_long_bad_scalar_names_its_line_in_bounded_size(self):
+        with pytest.raises(ParseError) as err:
+            parse_tensor("tensor dim=2 indices=[+a]\n1 = 1\n2 = " + "y" * 3000)
+        assert err.value.line == 3
+        assert str(err.value) == (f"line 3: bad rational scalar {'y' * SCALAR_SHOWN!r}... "
+                                  "of 3000 characters; expected p or p/q")
+        assert len(str(err.value)) < 200
 
     def test_index_leading_zeros_are_not_digits_of_size(self):
         t = parse_tensor(f"tensor dim=2 indices=[+a]\n{'0' * 5000}2 = 1\n")

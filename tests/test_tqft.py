@@ -10,6 +10,7 @@ import pytest
 from tqft2d import (
     COMPLEX,
     DEFAULT_TOLERANCE,
+    MINUS,
     PLUS,
     RATIONAL,
     DimensionError,
@@ -30,7 +31,7 @@ from tqft2d import (
     parse_tqft,
 )
 import tqft2d.tqft as tqft_module
-from tqft2d.tensor import MAX_ENTRIES, contract_between, contract_within
+from tqft2d.tensor import MAX_ENTRIES, SCALAR_SHOWN, contract_between, contract_within
 from tqft2d.tqft import RELATION_NAMES
 
 
@@ -414,6 +415,89 @@ class TestBaseInvariants:
             assert table["empty"].entries == (1,)
 
 
+def rotated_data(rng):
+    """A seeded dim-2 diagonal family conjugated by a rational rotation:
+    data that pass the relations, with dense (non-diagonal) entries."""
+    a, b, c = rng.choice([(3, 4, 5), (5, 12, 13), (8, 15, 17)])
+    rot = [[Fraction(a, c), Fraction(-b, c)], [Fraction(b, c), Fraction(a, c)]]
+    t = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice([1, -1])
+         for _ in range(2)]
+    span = range(2)
+    d = [sum(rot[i][m] * t[m] for m in span) for i in span]
+    p = [sum(rot[i][m] * rot[j][m] * rot[k][m] / t[m] for m in span)
+         for i, j, k in itertools.product(span, repeat=3)]
+    return TqftData(d, p)
+
+
+class TestExceptionalShapesMatchTheOracle:
+    """invariant on the shapes with no pants decomposition (generator
+    networks) against the index-loop oracle_table."""
+
+    def cases(self):
+        rng = random.Random("exceptional-shapes")
+        for _ in range(8):
+            data = rotated_data(rng)
+            assert check_relations(data).passed and all(data.p.entries)
+            yield data
+        failing = 0
+        while failing < 8:
+            data = seeded_symmetric_data(rng, RATIONAL)
+            if not check_relations(data).passed:
+                failing += 1
+                yield data
+        for _ in range(8):
+            yield seeded_symmetric_data(rng, COMPLEX)
+        rotated = rotated_data(rng)
+        yield TqftData([complex(v) for v in rotated.d.entries],
+                       [complex(v) for v in rotated.p.entries], COMPLEX)
+
+    def assert_matches(self, tensor, indices, expected, backend):
+        assert tensor.indices == indices and tensor.backend == backend
+        if backend == RATIONAL:
+            assert tensor.entries == tuple(expected)
+            assert {type(v) for v in tensor.entries} == {Fraction}
+        else:
+            assert len(tensor.entries) == len(expected)
+            assert all(abs(x - y) <= DEFAULT_TOLERANCE
+                       for x, y in zip(tensor.entries, expected))
+
+    def test_every_shape_and_their_union(self):
+        checked = {RATIONAL: 0, COMPLEX: 0}
+        for data in self.cases():
+            n, backend = data.dimension, data.backend
+            sphere, disk, annulus, torus = oracle_table(data)
+
+            def value(surface):
+                return invariant(data, surface, require_relations=False)
+
+            def ix(label, sign):
+                return SignedIndex(label, sign, n)
+
+            self.assert_matches(value(Surface.empty()), (), [1], backend)
+            self.assert_matches(value(Surface.sphere()), (), [sphere], backend)
+            self.assert_matches(value(Surface.torus(MINUS)), (), [torus], backend)
+            for sign in (PLUS, MINUS):
+                self.assert_matches(value(Surface.disk(f"{sign}a")), (ix("a", sign),),
+                                    disk, backend)
+            for (x, y), (sx, sy) in itertools.product(
+                    [("a", "b"), ("b", "a")], itertools.product((PLUS, MINUS), repeat=2)):
+                surface = Surface.annulus(f"{sx}{x},{sy}{y}")
+                # entry (i, j) pairs the first circle's index i with the second's j
+                expected = [annulus[i * n + j] if x == "a" else annulus[j * n + i]
+                            for i, j in itertools.product(range(n), repeat=2)]
+                self.assert_matches(value(surface), (ix(x, sx), ix(y, sy)),
+                                    expected, backend)
+            union = Surface.of(*(s.components[0] for s in [
+                Surface.sphere(), Surface.annulus("-a,+b"), Surface.disk("+c", MINUS),
+                Surface.torus()]))
+            expected = [sphere * annulus[i * n + j] * disk[k] * torus
+                        for i, j, k in itertools.product(range(n), repeat=3)]
+            self.assert_matches(value(union), (ix("a", MINUS), ix("b", PLUS), ix("c", PLUS)),
+                                expected, backend)
+            checked[backend] += 1
+        assert checked == {RATIONAL: 16, COMPLEX: 9}
+
+
 class TestHermitian:
     def test_rational_is_always_real(self):
         assert hermitian_check(diagonal_family([Fraction(-2), Fraction(5)]))
@@ -551,6 +635,22 @@ class TestDataFileFormat:
     def test_non_finite_entry_rejected(self, line):
         with pytest.raises(ParseError, match="non-finite"):
             parse_tqft(f"tqft dim=1 backend=complex\n{line}\n")
+
+    def test_bad_scalar_names_its_line(self):
+        with pytest.raises(ParseError) as err:
+            parse_tqft("tqft dim=1 backend=rational\nd 1 = 1\np 1 1 1 = x\n")
+        assert str(err.value) == "line 3: bad rational scalar 'x'; expected p or p/q"
+
+    @pytest.mark.parametrize("backend,text,expected", [
+        # parse_complex quotes its text unstripped
+        ("rational", "x" * 3000, "p or p/q"), ("complex", " " + "x" * 3000, "a+bi")])
+    def test_long_bad_scalar_names_its_line_in_bounded_size(self, backend, text,
+                                                           expected):
+        with pytest.raises(ParseError) as err:
+            parse_tqft(f"tqft dim=1 backend={backend}\nd 1 = " + "x" * 3000)
+        assert str(err.value) == (f"line 2: bad {backend} scalar {text[:SCALAR_SHOWN]!r}... "
+                                  f"of {len(text)} characters; expected {expected}")
+        assert len(str(err.value)) < 200
 
     def test_duplicate_entry_rejected(self):
         with pytest.raises(ParseError) as err:
