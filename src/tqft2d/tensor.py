@@ -593,7 +593,10 @@ def entry_lines(tensor: LabeledTensor, prefix: str = "") -> list[str]:
 
 def parse_tensor(text: str, backend: str | None = None) -> LabeledTensor:
     """Parse the literal format. Backend is auto-detected from the scalar
-    syntax unless given explicitly."""
+    syntax unless given explicitly: a literal with no `i` or `.` in its
+    scalars reads as rational, so a complex tensor whose entries are all
+    zero, which format_tensor writes with no entry lines, reads back as
+    rational unless `backend` is given."""
     lines = numbered_lines(text)
     if not lines:
         raise ParseError("empty tensor literal")
