@@ -195,8 +195,7 @@ def _relation_report(data: TqftData, limit: float) -> RelationReport:
     return RelationReport(tuple(results))
 
 
-def hermitian_check(data: TqftData,
-                    tolerance: float = DEFAULT_TOLERANCE) -> bool:
+def hermitian_check(data: TqftData) -> bool:
     """True iff every entry of d and p is real (always true for rationals).
 
     Real tensors are exactly the ones whose invariant conjugates under
@@ -204,7 +203,7 @@ def hermitian_check(data: TqftData,
     """
     if data.backend == RATIONAL:
         return True
-    return all(abs(v.imag) <= tolerance
+    return all(abs(v.imag) <= DEFAULT_TOLERANCE
                for v in data.d.entries + data.p.entries)
 
 

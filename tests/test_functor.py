@@ -47,7 +47,6 @@ import tqft2d.functor as functor
 from tqft2d.functor import (
     EXCEPTIONAL,
     MISMATCH_SHOWN,
-    STRATEGIES,
     _contract_network,
     _pants_mismatch,
     _pants_network,
@@ -60,6 +59,22 @@ from tqft2d.tensor import MAX_GENUS
 
 D2 = diagonal_family([Fraction(1), Fraction(2)])
 D1_T2 = diagonal_family([Fraction(2)])
+STRATEGIES = ("chain", "alternate")
+
+
+def decompose(g, n, strategy="chain", labels=None):
+    """The chain decomposition or, for "alternate", the chain with its first
+    regrouping move, as the moves suite builds its `alternate`; a shape with
+    no move (one pants) is its chain either way."""
+    chain = pants_decomposition(g, n, labels=labels)
+    moves = exchange_moves(chain) if strategy == "alternate" else []
+    return apply_exchange(chain, moves[0]) if moves else chain
+
+
+def decompose_by(monkeypatch, strategy):
+    """Make `invariant` cut every component by `decompose(..., strategy)`."""
+    monkeypatch.setattr(functor, "pants_decomposition",
+                        lambda g, n, *, labels=None: decompose(g, n, strategy, labels))
 
 
 def rotated_family(t, cos=Fraction(3, 5), sin=Fraction(4, 5)):
@@ -111,7 +126,7 @@ class TestPantsDecomposition:
         assert sorted(dec.pants[0].legs).count(handle) == 2
 
     def test_four_holed_sphere_chain(self):
-        dec = pants_decomposition(0, 4, "chain")
+        dec = pants_decomposition(0, 4)
         assert len(dec.pants) == 2
         assert len(dec.internal) == 1
         shared = next(iter(dec.internal))
@@ -127,8 +142,8 @@ class TestPantsDecomposition:
     def test_counts_and_validity(self, g, n):
         if (g, n) in EXCEPTIONAL or 2 * g - 2 + n < 1:
             return
-        for strategy in ("chain", "alternate"):
-            dec = pants_decomposition(g, n, strategy)
+        for strategy in STRATEGIES:
+            dec = decompose(g, n, strategy)
             assert dec.validate() == []
             assert len(dec.pants) == 2 * g - 2 + n
             assert len(dec.internal) == 3 * g - 3 + n
@@ -137,10 +152,16 @@ class TestPantsDecomposition:
 
     def test_alternate_differs_when_it_can(self):
         for g, n in [(0, 4), (1, 2), (2, 0), (2, 3), (3, 1)]:
-            chain = pants_decomposition(g, n, "chain")
-            alternate = pants_decomposition(g, n, "alternate")
+            chain = decompose(g, n, "chain")
+            alternate = decompose(g, n, "alternate")
             assert sorted(p.legs for p in chain.pants) != \
                 sorted(p.legs for p in alternate.pants), (g, n)
+
+    def test_labels_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            pants_decomposition(1, 2, "alternate")
+        with pytest.raises(TypeError):
+            pants_decomposition(0, 3, ["x", "y", "z"])
 
     def test_custom_labels(self):
         dec = pants_decomposition(0, 3, labels=["x", "y", "z"])
@@ -171,7 +192,7 @@ class TestPantsDecomposition:
                 continue
             for labels in (None, [f"cut{k + 1}" for k in range(n)],
                            [f"cut{2 * k + 3}" for k in range(n)]):
-                dec = pants_decomposition(g, n, strategy, labels)
+                dec = decompose(g, n, strategy, labels)
                 assert dec.validate() == [], (g, n, labels)
                 assert (len(dec.pants), dec.genus, dec.boundary_count) == \
                     (2 * g - 2 + n, g, n)
@@ -186,7 +207,7 @@ class TestPantsDecomposition:
                           st.from_regex(LABEL_RE, fullmatch=True))
         labels = data.draw(st.lists(label, min_size=n, max_size=n, unique=True))
         strategy = data.draw(st.sampled_from(STRATEGIES))
-        dec = pants_decomposition(g, n, strategy, labels)
+        dec = decompose(g, n, strategy, labels)
         assert dec.validate() == []
         assert dec.external == frozenset(labels) and dec.genus == g
 
@@ -290,9 +311,10 @@ class TestValidateOnce:
     def test_invariant(self, monkeypatch, strategy):
         surface = Surface.connected(2, "+a,-b,+c")
         check_relations(ROTATED)  # the stored report is built outside the count
-        expected = invariant(ROTATED, surface, strategy=strategy)
+        decompose_by(monkeypatch, strategy)
+        expected = invariant(ROTATED, surface)
         validated, built = self.counted(monkeypatch)
-        assert invariant(ROTATED, surface, strategy=strategy) == expected
+        assert invariant(ROTATED, surface) == expected
         assert len(validated) == 1
         assert built == []
 
@@ -338,9 +360,9 @@ class TestGenusBudget:
         message = f"genus {MAX_GENUS + 1} exceeds the budget of {MAX_GENUS}"
         for strategy in STRATEGIES:
             with pytest.raises(Built):
-                pants_decomposition(MAX_GENUS, 1, strategy)
+                decompose(MAX_GENUS, 1, strategy)
             with pytest.raises(DimensionError, match=message):
-                pants_decomposition(MAX_GENUS + 1, 1, strategy)
+                decompose(MAX_GENUS + 1, 1, strategy)
         with pytest.raises(DimensionError, match="budget"):
             pants_decomposition(10 ** 100, 0)
 
@@ -432,10 +454,11 @@ class TestInvariant:
             Fraction(0))
         assert closed_invariant(data, 2) == oracle == Fraction(5, 4)
 
-    def test_strategies_agree(self):
+    def test_strategies_agree(self, monkeypatch):
         surface = Surface.connected(2, "+a,-b")
-        assert invariant(D2, surface, strategy="chain") == \
-            invariant(D2, surface, strategy="alternate")
+        chain = invariant(D2, surface)
+        decompose_by(monkeypatch, "alternate")
+        assert chain == invariant(D2, surface)
 
     def test_components_multiply(self):
         s1 = Surface.disk("+a")
@@ -784,9 +807,9 @@ def decompositions_up_to(g_max, n_max, rewrites=3):
         for n in range(n_max + 1):
             if (g, n) in EXCEPTIONAL or 2 * g - 2 + n < 1:
                 continue
-            chain = pants_decomposition(g, n, "chain")
+            chain = decompose(g, n, "chain")
             yield chain
-            yield pants_decomposition(g, n, "alternate")
+            yield decompose(g, n, "alternate")
             for t in range(rewrites):
                 yield random_rewrite(chain, random.Random(f"plan:{g}:{n}:{t}"),
                                      moves=1 + 2 * t)
@@ -859,10 +882,11 @@ class TestScale:
         g = 200
         assert closed_invariant(data, g) == 1 + Fraction(2) ** (2 - 2 * g)
 
-    def test_alternate_equals_chain_at_genus_200(self):
+    def test_alternate_equals_chain_at_genus_200(self, monkeypatch):
         surface = Surface.connected(200, "+a,-b")
-        assert invariant(ROTATED, surface, strategy="alternate") == \
-            invariant(ROTATED, surface, strategy="chain")
+        chain = invariant(ROTATED, surface)
+        decompose_by(monkeypatch, "alternate")
+        assert invariant(ROTATED, surface) == chain
 
 
 class TestTensorMismatch:
