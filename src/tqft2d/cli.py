@@ -9,13 +9,15 @@ Subcommands:
   verify     run the seeded verification suites
   search     exhaustive dimension-1 grid search
 
-Exit codes: 0 ok, 1 failed verdict (check/verify), 2 parse error,
-3 domain error (bad labels, orientation mismatch, failed relations, ...).
+Exit codes: 0 ok, 1 failed verdict (check/verify) or a closed stdout,
+2 parse error (a file that is not UTF-8 included), 3 domain error (bad
+labels, orientation mismatch, failed relations, ...).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import ParseError, TqftError
@@ -37,6 +39,9 @@ def _read(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 at byte offset "
+                         f"{exc.start} ({exc.reason})") from exc
 
 
 def _parse_pairs(text: str) -> GlueSpec:
@@ -174,9 +179,21 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
-def entrypoint() -> None:  # pragma: no cover - console script shim
-    sys.exit(main())
+def entrypoint() -> None:
+    """Run `main` and exit with its status; a reader that closes stdout
+    early (`| head`) ends the run with status 1 and no traceback."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; aim it at devnull so that
+        # flush cannot fail too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    entrypoint()

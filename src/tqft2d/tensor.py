@@ -575,7 +575,7 @@ class EntryReader:
             raise ParseError(f"duplicate {name} entry {key}".rstrip(), line=lineno)
         self.filled.add(flat)
         try:
-            self.entries[flat] = parse_scalar(right, self.backend)
+            self.entries[flat] = parse_scalar(right.strip(), self.backend)
         except ParseError as exc:
             raise ParseError(str(exc), line=lineno) from None
 

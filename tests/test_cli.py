@@ -11,6 +11,7 @@ from tqft2d import Surface, diagonal_family, format_tqft, parse_surface, parse_t
 from tqft2d.cli import main
 
 BENCH_DATA = Path(__file__).resolve().parent.parent / "bench" / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 T2_FILE = "tqft dim=1 backend=rational\nd 1 = 2\np 1 1 1 = 1/2\n"
 BAD_FILE = "tqft dim=1 backend=rational\nd 1 = 1\np 1 1 1 = 2\n"
@@ -57,6 +58,19 @@ class TestCheck:
 
     def test_missing_file_is_a_parse_error(self, capsys):
         assert main(["check", "/nonexistent/file.tqft"]) == 2
+
+    @pytest.mark.parametrize("argv", [["check", "{bad}"], ["invariant", "{bad}", "{disk}"],
+                                      ["invariant", "{t2}", "{bad}"]])
+    def test_file_that_is_not_utf8_is_a_parse_error(self, tmp_path, write, capsys, argv):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(T2_FILE.encode() + b"\xff\n")
+        files = {"bad": str(bad), "t2": write("t2.tqft", T2_FILE),
+                 "disk": write("disk.srf", DISK_FILE)}
+        assert main([arg.format(**files) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"parse error: cannot read {bad}: not UTF-8 at byte "
+                                f"offset {len(T2_FILE)} (invalid start byte)\n")
 
     def test_malformed_file(self, write, capsys):
         code = main(["check", write("junk.tqft", "what is this\n")])
@@ -165,12 +179,11 @@ class TestClosed:
 
 class TestInputBudgets:
     def test_genus_over_the_budget_ends_without_a_traceback(self):
-        src = Path(__file__).resolve().parent.parent / "src"
         done = subprocess.run(
             [sys.executable, "-m", "tqft2d.cli", "closed", str(BENCH_DATA / "rot2.tqft"),
              "--genus", "10001"],
             capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": str(src)})
+            env={**os.environ, "PYTHONPATH": str(SRC)})
         assert done.returncode == 3 and done.stdout == ""
         assert done.stderr == "error: genus 10001 exceeds the budget of 10000\n"
 
@@ -223,6 +236,32 @@ class TestVerify:
         assert code == 0
         assert "suite monoidal" in out
         assert "suite moves" not in out
+
+    def test_moves_suite_output_is_pinned(self, capsys):
+        code = main(["verify", str(BENCH_DATA / "rot2.tqft"), "--suite", "moves",
+                     "--trials", "2", "--seed", "0"])
+        assert code == 0
+        assert capsys.readouterr().out == """\
+suite moves
+PASS (g=1, n=2) chain vs alternate
+PASS (g=1, n=2) chain vs rewrite 0
+PASS (g=1, n=2) chain vs rewrite 1
+PASS (g=1, n=3) chain vs alternate
+PASS (g=1, n=3) chain vs rewrite 0
+PASS (g=1, n=3) chain vs rewrite 1
+PASS (g=2, n=0) chain vs alternate
+PASS (g=2, n=0) chain vs rewrite 0
+PASS (g=2, n=0) chain vs rewrite 1
+PASS (g=2, n=1) chain vs alternate
+PASS (g=2, n=1) chain vs rewrite 0
+PASS (g=2, n=1) chain vs rewrite 1
+PASS (g=2, n=2) chain vs alternate
+PASS (g=2, n=2) chain vs rewrite 0
+PASS (g=2, n=2) chain vs rewrite 1
+PASS (g=2, n=3) chain vs alternate
+PASS (g=2, n=3) chain vs rewrite 0
+PASS (g=2, n=3) chain vs rewrite 1
+"""
 
     def test_deterministic_output(self, write, capsys):
         path = write("t.tqft", T2_FILE)
@@ -277,6 +316,24 @@ class TestSearch:
 
     def test_height_budget(self, capsys):
         assert main(["search", "--dim", "1", "--height", "9"]) == 3
+
+
+class TestClosedStdout:
+    def test_reader_closing_early_ends_without_a_traceback(self):
+        # 4**8 entry lines: far more than a pipe holds, so writes go on
+        # after the reader has gone.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tqft2d.cli", "invariant",
+             str(BENCH_DATA / "dense4.tqft"), str(BENCH_DATA / "g1n8.srf")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert first.startswith(b"tensor dim=4 ")
+        assert err == b""
 
 
 class TestDeterminism:

@@ -642,8 +642,7 @@ class TestDataFileFormat:
         assert str(err.value) == "line 3: bad rational scalar 'x'; expected p or p/q"
 
     @pytest.mark.parametrize("backend,text,expected", [
-        # parse_complex quotes its text unstripped
-        ("rational", "x" * 3000, "p or p/q"), ("complex", " " + "x" * 3000, "a+bi")])
+        ("rational", "x" * 3000, "p or p/q"), ("complex", "x" * 3000, "a+bi")])
     def test_long_bad_scalar_names_its_line_in_bounded_size(self, backend, text,
                                                            expected):
         with pytest.raises(ParseError) as err:
