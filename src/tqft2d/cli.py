@@ -184,7 +184,8 @@ def entrypoint() -> None:
     early (`| head`) ends the run with status 1 and no traceback."""
     try:
         code = main()
-        sys.stdout.flush()
+        if sys.stdout is not None:  # None when started with stdout closed
+            sys.stdout.flush()
     except BrokenPipeError:
         # Python flushes stdout again at exit; aim it at devnull so that
         # flush cannot fail too.

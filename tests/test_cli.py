@@ -335,6 +335,14 @@ class TestClosedStdout:
         assert first.startswith(b"tensor dim=4 ")
         assert err == b""
 
+    def test_run_started_with_stdout_closed_succeeds(self):
+        # Python sets sys.stdout to None when fd 1 is closed at start.
+        done = subprocess.run(
+            ["sh", "-c", 'exec "$0" -m tqft2d.cli check "$1" >&-',
+             sys.executable, str(BENCH_DATA / "rot2.tqft")],
+            capture_output=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert done.returncode == 0 and done.stderr == b""
+
 
 class TestDeterminism:
     def test_invariant_output_stable(self, write, capsys):
