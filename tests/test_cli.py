@@ -327,11 +327,13 @@ class TestClosedStdout:
              str(BENCH_DATA / "dense4.tqft"), str(BENCH_DATA / "g1n8.srf")],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             env={**os.environ, "PYTHONPATH": str(SRC)})
-        first = proc.stdout.readline()
-        proc.stdout.close()
-        err = proc.stderr.read()
-        proc.stderr.close()
-        assert proc.wait(timeout=60) == 1
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 1
         assert first.startswith(b"tensor dim=4 ")
         assert err == b""
 
