@@ -109,20 +109,19 @@ class PantsDecomposition:
 
     def validate(self) -> list[str]:
         violations = []
-        counts: dict[str, int] = {}
-        for node in self.pants:
+        owners: dict[str, list[int]] = {}  # label -> its nodes, once per leg
+        for k, node in enumerate(self.pants):
             for leg in node.legs:
-                counts[leg] = counts.get(leg, 0) + 1
-        for label in counts:
+                owners.setdefault(leg, []).append(k)
+        for label in owners:
             if not LABEL_RE.fullmatch(label):
                 violations.append(f"bad label {label!r}")
-        for label in self.external:
-            if counts.get(label, 0) != 1:
-                violations.append(f"external label {label} occurs {counts.get(label, 0)} times")
-        for label in self.internal:
-            if counts.get(label, 0) != 2:
-                violations.append(f"internal label {label} occurs {counts.get(label, 0)} times")
-        for label in counts:
+        for kind, labels, wanted in (("external", self.external, 1),
+                                     ("internal", self.internal, 2)):
+            for label in labels:
+                if (count := len(owners.get(label, ()))) != wanted:
+                    violations.append(f"{kind} label {label} occurs {count} times")
+        for label in owners:
             if label not in self.external and label not in self.internal:
                 violations.append(f"unclassified label {label}")
         # The counts also rule out a label both external and internal and a
@@ -131,17 +130,8 @@ class PantsDecomposition:
         # internal circles.
         if not self.pants:
             violations.append("no pants nodes")
-        if not self._connected():
-            violations.append("network is not connected")
-        return violations
-
-    def _connected(self) -> bool:
-        if not self.pants:
-            return True
-        owners: dict[str, list[int]] = {}
-        for k, node in enumerate(self.pants):
-            for leg in node.legs:
-                owners.setdefault(leg, []).append(k)
+        # Union-find over the nodes sharing a label: near-linear in the legs,
+        # even when one label sits on every node.
         parent = list(range(len(self.pants)))
 
         def find(x):
@@ -152,11 +142,10 @@ class PantsDecomposition:
 
         for nodes in owners.values():
             for other in nodes[1:]:
-                ra, rb = find(nodes[0]), find(other)
-                if ra != rb:
-                    parent[rb] = ra
-        root = find(0)
-        return all(find(k) == root for k in range(len(self.pants)))
+                parent[find(other)] = find(nodes[0])
+        if len({find(k) for k in range(len(parent))}) > 1:
+            violations.append("network is not connected")
+        return violations
 
     def require_valid(self) -> "PantsDecomposition":
         violations = self.validate()
@@ -334,8 +323,11 @@ def _contract_network(tensors: list[LabeledTensor],
     step.  Each step takes the group whose result has the smallest rank;
     a tie goes to the group whose first pair comes earliest in `pairs`.
     The lower-numbered tensor is the left operand and the merged tensor
-    takes its number; tensors left unconnected at the end are multiplied
-    in input order.
+    takes its number, so one tensor, the result, is left at the end.
+
+    Precondition: the pairs join labels of `tensors` into one connected
+    network, as `_pants_network` builds from an EXCEPTIONAL shape or a
+    decomposition that passes `PantsDecomposition.validate`.
 
     Groups are found once from a label-to-tensor map, kept in a heap keyed
     by (rank, first pair) and, after a step, re-keyed only where they touch
@@ -350,10 +342,7 @@ def _contract_network(tensors: list[LabeledTensor],
     groups: dict[tuple[int, int], list[int]] = {}
     touching: dict[int, set[tuple[int, int]]] = {k: set() for k in live}
     for index, pair in enumerate(pairs):
-        try:
-            ta, tb = sorted(owner[label] for label in pair)
-        except KeyError as missing:
-            raise LabelError(f"no tensor owns index {missing.args[0]}") from None
+        ta, tb = sorted(owner[label] for label in pair)
         groups.setdefault((ta, tb), []).append(index)
         touching[ta].add((ta, tb))
         touching[tb].add((ta, tb))
@@ -387,10 +376,8 @@ def _contract_network(tensors: list[LabeledTensor],
                 touching[other].add(new)
         for near in touching[ta]:
             heapq.heappush(heap, entry(near))
-    first, *rest = live.values()
-    for extra in rest:
-        first = first.tensor_product(extra)
-    return first
+    (result,) = live.values()
+    return result
 
 
 def _network_invariant(data: TqftData, nodes: Iterable[Sequence[str]],

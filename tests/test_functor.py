@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -219,6 +220,51 @@ class TestPantsDecomposition:
             (Pants(("a", "b", "c")), Pants(("d", "e", "f"))),
             frozenset("abcdef"), frozenset())
         assert any("not connected" in v for v in disconnected.validate())
+
+    # validate() of decompositions broken in each way it reports, as taken
+    # before the label-owner map served both the counts and connectivity.
+    # Each case has at most one violation per set it iterates, so the lists
+    # do not depend on the hash seed.
+    BROKEN = {
+        "bad label": ((("a", "x y", "c"),), "ac", "",
+                      ["bad label 'x y'", "unclassified label x y"]),
+        "external twice": ((("a", "b", "c"), ("c", "d", "a")), "abd", "c",
+                           ["external label a occurs 2 times"]),
+        "external missing": ((("a", "b", "c"),), "abcz", "",
+                             ["external label z occurs 0 times"]),
+        "handle as external": ((("a", "h", "h"),), "ah", "",
+                               ["external label h occurs 2 times"]),
+        "internal count": ((("a", "b", "c"),), "ab", "c",
+                           ["internal label c occurs 1 times"]),
+        "unclassified": ((("a", "b", "c"),), "ab", "", ["unclassified label c"]),
+        "no pants": ((), "a", "c", ["external label a occurs 0 times",
+                                    "internal label c occurs 0 times",
+                                    "no pants nodes"]),
+        "not connected": ((("a", "b", "c"), ("d", "e", "f")), "abcdef", "",
+                          ["network is not connected"]),
+        "every kind": (
+            (("a", "x y", "c"), ("c", "d", "e"), ("f", "g", "h")), "adz", "ce",
+            ["bad label 'x y'", "external label z occurs 0 times",
+             "internal label e occurs 1 times", "unclassified label x y",
+             "unclassified label f", "unclassified label g",
+             "unclassified label h", "network is not connected"]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BROKEN))
+    def test_violations_pinned(self, case):
+        nodes, external, internal, expected = self.BROKEN[case]
+        dec = PantsDecomposition(tuple(Pants(legs) for legs in nodes),
+                                 frozenset(external), frozenset(internal))
+        assert dec.validate() == expected
+
+    def test_one_label_on_every_node_validates_in_linear_time(self):
+        nodes = tuple(Pants(("hub", f"x{k}", f"y{k}")) for k in range(20000))
+        dec = PantsDecomposition(nodes, frozenset(), frozenset({"hub"}))
+        start = time.perf_counter()
+        violations = dec.validate()
+        assert time.perf_counter() - start < 5
+        assert violations[0] == "internal label hub occurs 20000 times"
+        assert len(violations) == 40001  # hub, then 40000 unclassified legs
 
 
 def validates_fully(dec):
@@ -858,15 +904,6 @@ class TestPlanner:
             assert len(calls) >= len(decomposition.pants) - 1
             assert result.indices == expected.indices
             assert result.entries == expected.entries
-
-    def test_unconnected_tensors_multiply_in_input_order(self):
-        tensors = [invariant(D2, Surface.disk(label)) for label in ("+c", "+a", "+b")]
-        assert _contract_network(tensors, []).labels == ("c", "a", "b")
-        assert scan_planner(tensors, []) == _contract_network(tensors, [])
-
-    def test_unknown_label_rejected(self):
-        with pytest.raises(LabelError, match="no tensor owns index x"):
-            _contract_network([invariant(D2, Surface.disk("+a"))], [("x", "a")])
 
     def test_exchange_moves_match_brute_force(self):
         for decomposition in decompositions_up_to(4, 4):
