@@ -29,14 +29,15 @@ from .functor import (
     verify_monoidal,
 )
 from .surface import GlueSpec, format_surface, parse_surface
-from .tensor import format_scalar, format_tensor
+from .tensor import format_scalar, format_tensor, quoted
 from .tqft import check_relations, grid_search_dim1, parse_tqft
 
 
 def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+            # A byte-order mark, as some editors write, is not part of the text.
+            return handle.read().removeprefix("\ufeff")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
@@ -52,7 +53,7 @@ def _parse_pairs(text: str) -> GlueSpec:
             continue
         left, sep, right = chunk.partition(":")
         if not sep or not left.strip() or not right.strip():
-            raise ParseError(f"bad pair {chunk!r}; expected 'a:b'")
+            raise ParseError(f"bad pair {quoted(chunk)}; expected 'a:b'")
         pairs.append((left.strip(), right.strip()))
     return GlueSpec(tuple(pairs))
 

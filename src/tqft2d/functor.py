@@ -47,6 +47,7 @@ from .tensor import (
     contract_within,
     format_scalar,
     genus_over_budget,
+    quoted,
     scalars_equal,
 )
 from .tqft import TqftData, check_relations
@@ -115,7 +116,7 @@ class PantsDecomposition:
                 owners.setdefault(leg, []).append(k)
         for label in owners:
             if not LABEL_RE.fullmatch(label):
-                violations.append(f"bad label {label!r}")
+                violations.append(f"bad label {quoted(label)}")
         for kind, labels, wanted in (("external", self.external, 1),
                                      ("internal", self.internal, 2)):
             for label in labels:
@@ -179,8 +180,9 @@ def pants_decomposition(genus: int, boundary_count: int, *,
     `labels` names the external legs (defaults to b1..bn).
     """
     g, n = genus, boundary_count
-    if g < 0 or n < 0:
-        raise ValueError("genus and boundary count must be non-negative")
+    if not (isinstance(g, int) and isinstance(n, int) and g >= 0 and n >= 0):
+        raise ValueError(
+            f"genus and boundary count must be integers >= 0, got {g!r} and {n!r}")
     if g > MAX_GENUS:
         raise genus_over_budget(g)
     if 2 * g - 2 + n < 1:  # the EXCEPTIONAL shapes
@@ -193,7 +195,7 @@ def pants_decomposition(genus: int, boundary_count: int, *,
         raise LabelError("external labels must be distinct")
     for label in external:
         if not LABEL_RE.fullmatch(label):
-            raise LabelError(f"bad label {label!r}")
+            raise LabelError(f"bad label {quoted(label)}")
 
     total = 2 * g - 2 + n
     spine_len = total - g

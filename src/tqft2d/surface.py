@@ -28,6 +28,7 @@ from .tensor import (
     MAX_GENUS,
     genus_over_budget,
     numbered_lines,
+    quoted,
     read_decimal,
     signed_labels,
 )
@@ -62,7 +63,7 @@ def circles(text: str) -> tuple[BoundaryCircle, ...]:
 
 
 def _bad_circle(item: str, column: int | None = None) -> LabelError:
-    return LabelError(f"bad circle spec {item!r}; expected e.g. '+a'")
+    return LabelError(f"bad circle spec {quoted(item)}; expected e.g. '+a'")
 
 
 @dataclass(frozen=True)
@@ -151,11 +152,13 @@ class Surface:
         violations = []
         seen: set[str] = set()
         for comp in self.components:
-            if comp.genus < 0:
+            if not isinstance(comp.genus, int):
+                violations.append(f"genus {comp.genus!r} is not an integer")
+            elif comp.genus < 0:
                 violations.append(f"negative genus {comp.genus}")
             for c in comp.boundary:
                 if not LABEL_RE.fullmatch(c.label):
-                    violations.append(f"bad label {c.label!r}")
+                    violations.append(f"bad label {quoted(c.label)}")
                 if c.label in seen:
                     violations.append(f"duplicate label {c.label}")
                 seen.add(c.label)
@@ -290,7 +293,7 @@ def parse_surface(text: str) -> Surface:
         genus = _genus(m.group("genus"), lineno)
         start = m.start("boundary") + 1
         boundary = signed_labels(m.group("boundary"), lambda item, column: ParseError(
-            f"bad boundary circle {item!r}", line=lineno, column=start + column))
+            f"bad boundary circle {quoted(item)}", line=lineno, column=start + column))
         components.append(ConnectedSurface(genus, Orientation(m.group("orient")), tuple(
             BoundaryCircle(label, sign) for label, sign in boundary)))
     surface = Surface(tuple(components))

@@ -165,11 +165,11 @@ def format_scalar(value: Scalar, backend: str) -> str:
 
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
-# Longest scalar text an error message quotes in full.
+# Longest outside text (a scalar, label, ...) an error message quotes whole.
 SCALAR_SHOWN = 100
 
 
-def _quoted(text: str) -> str:
+def quoted(text: str) -> str:
     """`text` quoted for an error message: whole up to SCALAR_SHOWN
     characters, else its first SCALAR_SHOWN characters and its length."""
     if len(text) <= SCALAR_SHOWN:
@@ -180,7 +180,7 @@ def _quoted(text: str) -> str:
 def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if not _RATIONAL_RE.match(text):
-        raise ParseError(f"bad rational scalar {_quoted(text)}; expected p or p/q")
+        raise ParseError(f"bad rational scalar {quoted(text)}; expected p or p/q")
     try:
         return Fraction(text)
     except ValueError:  # an integer past the interpreter's digit limit
@@ -200,9 +200,9 @@ def parse_complex(text: str) -> complex:
     try:
         value = complex(s[:-1] + "j") if s.endswith("i") else complex(float(s), 0.0)
     except ValueError:
-        raise ParseError(f"bad complex scalar {_quoted(text)}; expected a+bi") from None
+        raise ParseError(f"bad complex scalar {quoted(text)}; expected a+bi") from None
     if not cmath.isfinite(value):
-        raise ParseError(f"non-finite complex scalar {_quoted(text)}")
+        raise ParseError(f"non-finite complex scalar {quoted(text)}")
     return value
 
 
@@ -605,7 +605,7 @@ def parse_tensor(text: str, backend: str | None = None) -> LabeledTensor:
     if not m:
         raise ParseError("expected 'tensor dim=<n> indices=[...]'", line=lineno, column=1)
     signs = signed_labels(m.group("indices"),
-                          lambda item, _: ParseError(f"bad index {item!r}", line=lineno))
+                          lambda item, _: ParseError(f"bad index {quoted(item)}", line=lineno))
     rank = len(signs)
     dim = header_dimension(m.group("dim"), rank)
     if dim < 1:

@@ -150,13 +150,16 @@ def check_relations(data: TqftData,
     """Evaluate all four relations over every free-index tuple.
 
     Rational data must satisfy them exactly; complex data up to an absolute
-    tolerance per violation |LHS - RHS|.  A NaN violation fails its relation.
+    tolerance per violation |LHS - RHS|.  A NaN violation fails its relation;
+    a negative or NaN tolerance raises ValueError.
 
     The report depends only on the datum and its decision limit (0 for
     rational data, `tolerance` for complex data), so it is computed once per
     datum and limit, on the first call, and stored on the immutable datum;
     later calls return that same frozen report.
     """
+    if not tolerance >= 0:
+        raise ValueError(f"tolerance must be a number >= 0, got {tolerance}")
     limit = 0 if data.backend == RATIONAL else tolerance
     report = data._reports.get(limit)
     if report is None:

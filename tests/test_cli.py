@@ -72,6 +72,19 @@ class TestCheck:
         assert captured.err == (f"parse error: cannot read {bad}: not UTF-8 at byte "
                                 f"offset {len(T2_FILE)} (invalid start byte)\n")
 
+    @pytest.mark.parametrize("argv", [["check", "rot2.tqft"],
+                                      ["invariant", "rot2.tqft", "g1n4.srf"]])
+    def test_byte_order_mark_is_ignored(self, tmp_path, capsys, argv):
+        command, *names = argv
+
+        def run(bom):
+            paths = [tmp_path / f"{bom}{name}" for name in names]
+            for path, name in zip(paths, names):
+                path.write_bytes(bom * b"\xef\xbb\xbf" + (BENCH_DATA / name).read_bytes())
+            return main([command, *map(str, paths)]), capsys.readouterr().out
+        assert run(True) == run(False)
+        assert run(True)[0] == 0
+
     def test_malformed_file(self, write, capsys):
         code = main(["check", write("junk.tqft", "what is this\n")])
         assert code == 2

@@ -164,6 +164,12 @@ class TestPantsDecomposition:
         with pytest.raises(TypeError):
             pants_decomposition(0, 3, ["x", "y", "z"])
 
+    @pytest.mark.parametrize("g,n,shown", [(1.5, 1, "1.5 and 1"), (2, 1.0, "2 and 1.0"),
+                                           ("2", 1, "'2' and 1"), (-1, 4, "-1 and 4")])
+    def test_counts_that_are_not_whole_numbers_rejected(self, g, n, shown):
+        with pytest.raises(ValueError, match=f"must be integers >= 0, got {shown}$"):
+            pants_decomposition(g, n)
+
     def test_custom_labels(self):
         dec = pants_decomposition(0, 3, labels=["x", "y", "z"])
         assert dec.external == frozenset({"x", "y", "z"})
@@ -598,6 +604,12 @@ class TestClosedInvariant:
     def test_negative_genus_rejected(self):
         with pytest.raises(ValueError):
             closed_invariant(D2, -1)
+
+    def test_genus_that_is_not_an_integer_rejected(self):
+        with pytest.raises(LabelError, match="genus 1.5 is not an integer"):
+            closed_invariant(D2, 1.5)
+        with pytest.raises(LabelError, match="genus 2.5 is not an integer"):
+            invariant(D2, Surface.connected(2.5))
 
 
 class TestApplyGluing:

@@ -28,27 +28,33 @@ from hypothesis import strategies as st
 from tqft2d import (
     COMPLEX,
     RATIONAL,
+    BoundaryCircle,
     DimensionError,
     LabeledTensor,
+    Pants,
+    PantsDecomposition,
     ParseError,
     SignedIndex,
     Surface,
     TqftData,
+    TqftError,
+    circle,
     closed_invariant,
     format_scalar,
     format_surface,
     format_tensor,
     format_tqft,
     invariant,
+    pants_decomposition,
     parse_scalar,
     parse_surface,
     parse_tensor,
     parse_tqft,
     random_surface,
 )
-from tqft2d.cli import main
+from tqft2d.cli import _parse_pairs, main
 from tqft2d.orientation import MINUS, PLUS
-from tqft2d.tensor import MAX_ENTRIES, MAX_GENUS, contract_between
+from tqft2d.tensor import MAX_ENTRIES, MAX_GENUS, SCALAR_SHOWN, contract_between
 
 # -- mutations -----------------------------------------------------------------
 
@@ -278,3 +284,38 @@ def test_budget_edges_allocate_nothing(refused):
         tracemalloc.stop()
     # each refused size above would take tens of megabytes or more
     assert peak < 1 << 20
+
+
+def raised(call):
+    with pytest.raises(TqftError) as err:
+        call()
+    return str(err.value)
+
+
+# Each entry point that quotes an item of outside text, as a function of a
+# bad item to the message that quotes it.
+QUOTING = {
+    "glue pairs": lambda item: raised(lambda: _parse_pairs(f"a:b,{item}")),
+    "circle": lambda item: raised(lambda: circle(item)),
+    "surface boundary": lambda item: raised(lambda: parse_surface(
+        f"component orient=+ genus=0 boundary=[+a,{item}]")),
+    "surface label": lambda item: Surface.connected(
+        0, [BoundaryCircle(item, PLUS)]).validate()[0],
+    "pants label": lambda item: PantsDecomposition(
+        (Pants(("a", "b", item)),), frozenset({"a", "b", item}), frozenset()).validate()[0],
+    "decomposition label": lambda item: raised(
+        lambda: pants_decomposition(0, 3, labels=["a", "b", item])),
+    "tensor index": lambda item: raised(
+        lambda: parse_tensor(f"tensor dim=2 indices=[+a,{item}]")),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(QUOTING))
+def test_bad_items_are_quoted_in_bounded_size(entry):
+    short = "?" * SCALAR_SHOWN
+    assert repr(short) in QUOTING[entry](short)
+    message = QUOTING[entry]("?" * 100_000)
+    assert len(message) < 300
+    assert message.endswith(("... of 100000 characters",
+                             "... of 100000 characters; expected 'a:b'",
+                             "... of 100000 characters; expected e.g. '+a'"))

@@ -53,6 +53,13 @@ class TestValidation:
         s = Surface.connected(-1)
         assert any("negative genus" in v for v in s.validate())
 
+    @pytest.mark.parametrize("genus", [2.5, 1.0, "2", None])
+    def test_genus_that_is_not_an_integer_reported(self, genus):
+        assert Surface.connected(genus, "+a").validate() == \
+            [f"genus {genus!r} is not an integer"]
+        with pytest.raises(LabelError, match="is not an integer"):
+            Surface.connected(genus).require_valid()
+
 
 class TestEuler:
     def test_disk(self):

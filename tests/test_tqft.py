@@ -117,6 +117,17 @@ class TestCheckRelations:
         assert check_relations(data).passed  # 1e-12 violation, below 1e-9
         assert not check_relations(data, tolerance=1e-15).passed
 
+    @pytest.mark.parametrize("tolerance", [math.nan, -1, -1e-300])
+    @pytest.mark.parametrize("backend", [RATIONAL, COMPLEX])
+    def test_nan_or_negative_tolerance_refused(self, tolerance, backend):
+        data = diagonal_family([2, 3]) if backend == RATIONAL else \
+            TqftData([complex(1)], [complex(1)], COMPLEX)
+        for _ in range(5):
+            with pytest.raises(ValueError, match="tolerance must be a number >= 0"):
+                check_relations(data, tolerance)
+        assert data._reports == {}
+        assert check_relations(data).passed
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_data_fails(self, value):
         report = check_relations(TqftData([complex(value)], [complex(1)], COMPLEX))
