@@ -227,10 +227,9 @@ class TestPantsDecomposition:
             frozenset("abcdef"), frozenset())
         assert any("not connected" in v for v in disconnected.validate())
 
-    # validate() of decompositions broken in each way it reports, as taken
-    # before the label-owner map served both the counts and connectivity.
-    # Each case has at most one violation per set it iterates, so the lists
-    # do not depend on the hash seed.
+    # The exact validate() list for decompositions broken in each way it
+    # reports.  Each case has at most one violation per set it iterates, so
+    # the lists do not depend on the hash seed.
     BROKEN = {
         "bad label": ((("a", "x y", "c"),), "ac", "",
                       ["bad label 'x y'", "unclassified label x y"]),
