@@ -465,7 +465,7 @@ def _require_relations(data: TqftData) -> None:
 
 def closed_invariant(data: TqftData, genus: int):
     """Scalar invariant of the closed genus-g surface."""
-    if genus < 0:
+    if isinstance(genus, int) and genus < 0:  # Surface.validate refuses other types
         raise ValueError("genus must be non-negative")
     return invariant(data, Surface.connected(genus)).entries[0]
 
@@ -586,8 +586,8 @@ def verify_decomposition_invariance(data: TqftData, g_max: int, n_max: int,
                                     require_relations: bool = True
                                     ) -> VerificationReport:
     """Check that every decomposition of every (g, n) surface in range gives
-    the same tensor: the chain vs `alternate`, the chain with its first
-    regrouping move, plus `trials` random regroupings.
+    the same tensor: the chain vs its first regrouping move (`alternate`),
+    plus `trials` random regroupings.
 
     Only shapes with 2g-2+n >= 2 are interesting (below that the
     decomposition is unique).  Handle-curve recuttings all reduce to the

@@ -9,8 +9,8 @@ Entries live in one of two scalar backends:
 
 * ``rational`` - exact ``fractions.Fraction`` arithmetic (the default for
   every correctness check; equality is exact),
-* ``complex`` - double-precision complex floats, compared with an absolute
-  tolerance (default 1e-9).
+* ``complex`` - double-precision complex floats, compared with the absolute
+  tolerance ``DEFAULT_TOLERANCE`` (1e-9).
 
 Mixing backends in one expression raises :class:`BackendError`.  All indices
 of one tensor share a single dimension; storage is a flat row-major tuple of
@@ -142,11 +142,12 @@ def scalar_zero(backend: str) -> Scalar:
     return Fraction(0) if backend == RATIONAL else complex(0)
 
 
-def scalars_equal(a: Scalar, b: Scalar, backend: str,
-                  tolerance: float = DEFAULT_TOLERANCE) -> bool:
+def scalars_equal(a: Scalar, b: Scalar, backend: str) -> bool:
+    """The library's one comparison rule: rationals compare exactly, complex
+    values within DEFAULT_TOLERANCE (so a NaN equals nothing)."""
     if backend == RATIONAL:
         return a == b
-    return abs(a - b) <= tolerance
+    return abs(a - b) <= DEFAULT_TOLERANCE
 
 
 def format_scalar(value: Scalar, backend: str) -> str:
@@ -375,15 +376,14 @@ class LabeledTensor:
         order = sorted(range(self.rank), key=lambda k: self.indices[k].label)
         return self.permute_indices(order)
 
-    def equals(self, other: "LabeledTensor",
-               tolerance: float = DEFAULT_TOLERANCE) -> bool:
-        """True iff the index signatures match exactly and entries agree
-        (exactly for rationals, within `tolerance` for complex)."""
+    def equals(self, other: "LabeledTensor") -> bool:
+        """True iff the index signatures match exactly and the entries agree
+        by `scalars_equal`."""
         if not isinstance(other, LabeledTensor):
             return False
         if self.backend != other.backend or self.indices != other.indices:
             return False
-        return all(scalars_equal(x, y, self.backend, tolerance)
+        return all(scalars_equal(x, y, self.backend)
                    for x, y in zip(self.entries, other.entries))
 
     def __eq__(self, other):

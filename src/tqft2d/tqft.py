@@ -11,8 +11,8 @@ relations hold (all sums over repeated indices run 0..n-1):
 
 ``check_relations`` evaluates all four over every free-index tuple: each
 side of exchange and of the absorption relations is a contraction by the
-tensor engine, compared entrywise.  The verdict is a property of the datum,
-so it is computed once per datum and decision limit and stored on the
+tensor engine, compared entrywise by ``scalars_equal``.  The verdict is a
+property of the datum, so it is computed once per datum and stored on the
 immutable ``TqftData``.  When the relations hold, the annulus tensor
 c[i,j] = d[k] p[k,i,j] (built, like every surface tensor, in ``functor``)
 is an idempotent matrix fixing d.
@@ -54,6 +54,7 @@ from .tensor import (
     header_dimension,
     numbered_lines,
     scalar_zero,
+    scalars_equal,
 )
 
 RELATION_NAMES = ("exchange", "symmetry", "disk_absorption", "cylinder_absorption")
@@ -63,8 +64,8 @@ class TqftData:
     """Dimension n plus the tensors d (rank 1) and p (rank 3, symmetric).
 
     Immutable: assigning an attribute after construction raises
-    AttributeError, so the relation reports that check_relations stores on
-    the datum (one per decision limit, filled on first use) never go stale.
+    AttributeError, so the relation report that check_relations stores on
+    the datum (filled on first use) never goes stale.
     """
 
     __slots__ = ("dimension", "d", "p", "backend", "_reports")
@@ -83,9 +84,8 @@ class TqftData:
             (SignedIndex("i", PLUS, n), SignedIndex("j", PLUS, n),
              SignedIndex("k", PLUS, n)),
             p_entries, backend)
-        limit = 0 if backend == RATIONAL else DEFAULT_TOLERANCE
-        for (i, j, k), gap in _symmetry_gaps(p):
-            if not gap <= limit:
+        for (i, j, k), a, b in _symmetry_pairs(p):
+            if not scalars_equal(a, b, backend):
                 raise RelationError(
                     f"p is not symmetric at slot indices ({i + 1},{j + 1},{k + 1})")
         object.__setattr__(self, "dimension", n)
@@ -108,16 +108,16 @@ class TqftData:
         return f"TqftData(dim={self.dimension}, backend={self.backend})"
 
 
-def _symmetry_gaps(p: LabeledTensor):
-    """Yield ((i, j, k), |p[j,i,k] - p[i,j,k]|) and ((i, j, k), |p[i,k,j] -
-    p[i,j,k]|) for every slot triple; the two transpositions generate all
+def _symmetry_pairs(p: LabeledTensor):
+    """Yield ((i, j, k), p[j,i,k], p[i,j,k]) and ((i, j, k), p[i,k,j],
+    p[i,j,k]) for every slot triple; the two transpositions generate all
     six slot permutations."""
     n = p.dimension
     pe = p.entries
     for i, j, k in itertools.product(range(n), repeat=3):
         base = pe[(i * n + j) * n + k]
-        yield (i, j, k), abs(pe[(j * n + i) * n + k] - base)
-        yield (i, j, k), abs(pe[(i * n + k) * n + j] - base)
+        yield (i, j, k), pe[(j * n + i) * n + k], base
+        yield (i, j, k), pe[(i * n + k) * n + j], base
 
 
 @dataclass(frozen=True)
@@ -145,31 +145,27 @@ class RelationReport:
         return " ".join("PASS" if r.passed else "FAIL" for r in self.results)
 
 
-def check_relations(data: TqftData,
-                    tolerance: float = DEFAULT_TOLERANCE) -> RelationReport:
+def check_relations(data: TqftData) -> RelationReport:
     """Evaluate all four relations over every free-index tuple.
 
-    Rational data must satisfy them exactly; complex data up to an absolute
-    tolerance per violation |LHS - RHS|.  A NaN violation fails its relation;
-    a negative or NaN tolerance raises ValueError.
+    A relation holds when each LHS entry equals its RHS entry by
+    `scalars_equal`: exactly for rational data, within DEFAULT_TOLERANCE for
+    complex data.  Its max_violation is the largest |LHS - RHS|, NaN when any
+    is NaN (which fails the relation).
 
-    The report depends only on the datum and its decision limit (0 for
-    rational data, `tolerance` for complex data), so it is computed once per
-    datum and limit, on the first call, and stored on the immutable datum;
-    later calls return that same frozen report.
+    The report depends only on the datum, so it is computed once, on the
+    first call, and stored on the immutable datum; later calls return that
+    same frozen report.
     """
-    if not tolerance >= 0:
-        raise ValueError(f"tolerance must be a number >= 0, got {tolerance}")
-    limit = 0 if data.backend == RATIONAL else tolerance
-    report = data._reports.get(limit)
+    report = data._reports.get("relations")
     if report is None:
-        # Threads racing on a cold entry compute equal reports; setdefault
+        # Threads racing on a cold datum compute equal reports; setdefault
         # keeps the first stored, so every caller gets the same one.
-        report = data._reports.setdefault(limit, _relation_report(data, limit))
+        report = data._reports.setdefault("relations", _relation_report(data))
     return report
 
 
-def _relation_report(data: TqftData, limit: float) -> RelationReport:
+def _relation_report(data: TqftData) -> RelationReport:
     p, d = data.p, data.d
     # p with its first slot lowered, to contract against every tensor here.
     p_low = p.relabel({"i": "h", "j": "l", "k": "m"}).flip_signs(["h"])
@@ -187,13 +183,14 @@ def _relation_report(data: TqftData, limit: float) -> RelationReport:
     }
     gaps = {name: [abs(x - y) for x, y in zip(lhs.entries, rhs.entries)]
             for name, (lhs, rhs) in sides.items()}
-    gaps["symmetry"] = [gap for _, gap in _symmetry_gaps(p)]
+    gaps["symmetry"] = [abs(a - b) for _, a, b in _symmetry_pairs(p)]
     results = []
     for name in RELATION_NAMES:
+        # |x - y| equals 0 by the rule exactly when x equals y by it.
+        passed = all(scalars_equal(gap, 0, data.backend) for gap in gaps[name])
         worst = max(gaps[name])
-        passed = all(gap <= limit for gap in gaps[name])
-        if not passed and worst <= limit:
-            worst = math.nan  # only a NaN gap fails without exceeding the limit
+        if not passed and any(gap != gap for gap in gaps[name]):
+            worst = math.nan  # max() returns a NaN only when it comes first
         results.append(RelationResult(name, passed, worst))
     return RelationReport(tuple(results))
 

@@ -607,6 +607,8 @@ class TestClosedInvariant:
     def test_genus_that_is_not_an_integer_rejected(self):
         with pytest.raises(LabelError, match="genus 1.5 is not an integer"):
             closed_invariant(D2, 1.5)
+        with pytest.raises(LabelError, match="genus '3' is not an integer"):
+            closed_invariant(D2, "3")
         with pytest.raises(LabelError, match="genus 2.5 is not an integer"):
             invariant(D2, Surface.connected(2.5))
 
@@ -779,12 +781,12 @@ class TestHermitianAxiom:
         return [random_surface(rng, prefix=f"w{k}_", max_total_boundary=4)
                 for k in range(count)]
 
-    def reversed_matches_conjugate(self, data, surface, tolerance=1e-9):
+    def reversed_matches_conjugate(self, data, surface):
         mirrored = invariant(data, surface.reverse_orientation(),
                              require_relations=False)
         original = invariant(data, surface, require_relations=False)
         return mirrored.flip_signs().canonical().equals(
-            original.conjugate_entries().canonical(), tolerance)
+            original.conjugate_entries().canonical())
 
     def test_real_data_satisfies_reversal_conjugation(self):
         data = diagonal_family([1.5, 2.0])

@@ -178,8 +178,9 @@ class TestEquality:
     def test_within_tolerance(self):
         a = LabeledTensor(idx("+a -b", 2), [1.0, 0.0, 0.0, 1.0])
         b = LabeledTensor(idx("+a -b", 2), [1.0, 1e-12, 0.0, 1.0])
-        assert a.equals(b, tolerance=1e-9)
-        assert not a.equals(b, tolerance=1e-15)
+        c = LabeledTensor(idx("+a -b", 2), [1.0, 1e-6, 0.0, 1.0])
+        assert a.equals(b)  # 1e-12 apart, within DEFAULT_TOLERANCE
+        assert not a.equals(c)  # 1e-6 apart
 
     def test_index_order_matters(self):
         a = rational("+a -b", 2, [1, 2, 2, 1])

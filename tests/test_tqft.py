@@ -115,18 +115,8 @@ class TestCheckRelations:
         nearly_one = complex(1 + 1e-12)
         data = TqftData([nearly_one], [complex(1)], COMPLEX)
         assert check_relations(data).passed  # 1e-12 violation, below 1e-9
-        assert not check_relations(data, tolerance=1e-15).passed
-
-    @pytest.mark.parametrize("tolerance", [math.nan, -1, -1e-300])
-    @pytest.mark.parametrize("backend", [RATIONAL, COMPLEX])
-    def test_nan_or_negative_tolerance_refused(self, tolerance, backend):
-        data = diagonal_family([2, 3]) if backend == RATIONAL else \
-            TqftData([complex(1)], [complex(1)], COMPLEX)
-        for _ in range(5):
-            with pytest.raises(ValueError, match="tolerance must be a number >= 0"):
-                check_relations(data, tolerance)
-        assert data._reports == {}
-        assert check_relations(data).passed
+        off = TqftData([complex(1 + 1e-6)], [complex(1)], COMPLEX)
+        assert not check_relations(off).passed  # 1e-6 violation, above 1e-9
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_data_fails(self, value):
@@ -139,6 +129,17 @@ class TestCheckRelations:
         report = check_relations(data)
         assert not report["disk_absorption"].passed
         assert report["disk_absorption"].max_violation == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("d,p", [
+        ([math.nan, 1], [1, 0, 0, 0, 0, 0, 0, 2]),
+        ([1, math.nan], [2, 0, 0, 0, 0, 0, 0, 1]),  # the same datum, basis swapped
+    ], ids=["nan first", "nan last"])
+    def test_nan_gap_gives_nan_violation_in_any_entry_order(self, d, p):
+        data = TqftData(d, p, COMPLEX)
+        report = check_relations(data)
+        for name in ("disk_absorption", "cylinder_absorption"):
+            assert not report[name].passed
+            assert math.isnan(report[name].max_violation), name
 
 
 def oracle_relations(data):
@@ -230,8 +231,6 @@ def fresh_copy(data):
 
 
 class TestRelationCache:
-    TOLERANCES = (DEFAULT_TOLERANCE, 1e-15, 0.0, 1e-3, 2.0)
-
     def cases(self):
         for backend in (RATIONAL, COMPLEX):
             rng = random.Random(f"cache-{backend}")
@@ -244,25 +243,18 @@ class TestRelationCache:
     @pytest.mark.parametrize("order", [1, -1], ids=["ascending", "descending"])
     def test_cached_report_matches_a_fresh_check(self, order):
         verdicts = set()
-        for data in self.cases():
-            tolerances = self.TOLERANCES[::order]
-            first = [check_relations(data, t) for t in tolerances]
-            for tolerance, report in zip(tolerances, first):
-                cached = check_relations(data, tolerance)
-                assert cached is report
-                fresh = check_relations(fresh_copy(data), tolerance)
-                assert cached.passed == fresh.passed
-                for got, want in zip(cached.results, fresh.results):
-                    assert got.name == want.name
-                    assert got.passed == want.passed
-                    assert same_scalar(got.max_violation, want.max_violation)
-                verdicts.add((data.backend, cached.passed))
+        for data in list(self.cases())[::order]:
+            report = check_relations(data)
+            cached = check_relations(data)
+            assert cached is report
+            fresh = check_relations(fresh_copy(data))
+            assert cached.passed == fresh.passed
+            for got, want in zip(cached.results, fresh.results):
+                assert got.name == want.name
+                assert got.passed == want.passed
+                assert same_scalar(got.max_violation, want.max_violation)
+            verdicts.add((data.backend, cached.passed))
         assert verdicts == {(b, v) for b in (RATIONAL, COMPLEX) for v in (True, False)}
-
-    def test_rational_data_ignore_the_tolerance(self):
-        data = TqftData([Fraction(1)], [Fraction(2)])
-        assert check_relations(data, 10.0) is check_relations(data, 1e-15)
-        assert not check_relations(data, 10.0).passed
 
     def test_report_is_computed_on_first_use_only(self, monkeypatch):
         calls = []
