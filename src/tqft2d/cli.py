@@ -32,6 +32,10 @@ from .surface import GlueSpec, format_surface, parse_surface
 from .tensor import format_scalar, format_tensor, quoted
 from .tqft import check_relations, grid_search_dim1, parse_tqft
 
+# Longest error message printed whole.  Messages cut outside text with
+# `quoted`; this bounds any site that echoes it whole, such as a valid label.
+MESSAGE_SHOWN = 10_000
+
 
 def _read(path: str) -> str:
     try:
@@ -173,11 +177,19 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return run(argv)
     except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+        _print_error("parse error", exc)
         return 2
     except (TqftError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error("error", exc)
         return 3
+
+
+def _print_error(kind: str, exc: Exception) -> None:
+    """Print `exc` to stderr, cut to MESSAGE_SHOWN characters plus its length."""
+    text = str(exc)
+    if len(text) > MESSAGE_SHOWN:
+        text = f"{text[:MESSAGE_SHOWN]}... of {len(text)} characters"
+    print(f"{kind}: {text}", file=sys.stderr)
 
 
 def entrypoint() -> None:

@@ -8,7 +8,7 @@ import pytest
 
 import tqft2d.tqft as tqft_module
 from tqft2d import Surface, diagonal_family, format_tqft, parse_surface, parse_tensor
-from tqft2d.cli import main
+from tqft2d.cli import MESSAGE_SHOWN, main
 
 BENCH_DATA = Path(__file__).resolve().parent.parent / "bench" / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -188,6 +188,35 @@ class TestClosed:
     def test_genus_zero(self, write, capsys):
         main(["closed", write("t.tqft", T2_FILE), "--genus", "0"])
         assert capsys.readouterr().out.strip() == "4"
+
+    def test_negative_genus(self, write, capsys):
+        assert main(["closed", write("t.tqft", T2_FILE), "--genus", "-1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: genus must be non-negative\n"
+
+
+class TestLongLabels:
+    """A valid label of any length is cut in error messages."""
+
+    LABEL = "x" * 100_000
+
+    def check_cut(self, captured, kind, message):
+        assert captured.out == ""
+        assert captured.err == (f"{kind}: {message[:MESSAGE_SHOWN]}... "
+                                f"of {len(message)} characters\n")
+
+    def test_unknown_label_in_pairs(self, write, capsys):
+        surface = write("ab.srf", "component orient=+ genus=0 boundary=[+a,-b]\n")
+        assert main(["glue", surface, "--pairs", f"a:{self.LABEL}"]) == 3
+        self.check_cut(capsys.readouterr(), "error", "unknown label " + self.LABEL)
+
+    def test_duplicate_label_in_surface_file(self, write, capsys):
+        surface = write("dup.srf", f"component orient=+ genus=0 boundary=[+{self.LABEL},"
+                                   f"-{self.LABEL}]\n")
+        assert main(["invariant", write("t.tqft", T2_FILE), surface]) == 2
+        self.check_cut(capsys.readouterr(), "parse error",
+                       "duplicate label " + self.LABEL)
 
 
 class TestInputBudgets:
