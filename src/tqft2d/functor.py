@@ -406,7 +406,7 @@ def invariant_of_decomposition(data: TqftData,
 
 def _component_invariant(data: TqftData, component: ConnectedSurface) -> LabeledTensor:
     g, n = component.genus, len(component.boundary)
-    labels = [c.label for c in component.boundary]
+    labels = component.labels()
     if (g, n) in EXCEPTIONAL:
         rename = {f"b{k + 1}": label for k, label in enumerate(labels)}
         nodes = [[rename.get(leg, leg) for leg in legs] for legs in EXCEPTIONAL[g, n]]

@@ -12,10 +12,6 @@ class Orientation(enum.Enum):
     def reverse(self) -> "Orientation":
         return Orientation.MINUS if self is Orientation.PLUS else Orientation.PLUS
 
-    @property
-    def symbol(self) -> str:
-        return self.value
-
     def __str__(self) -> str:
         return self.value
 

@@ -73,10 +73,6 @@ class ConnectedSurface:
     boundary: tuple[BoundaryCircle, ...] = ()
 
     @property
-    def boundary_count(self) -> int:
-        return len(self.boundary)
-
-    @property
     def euler_characteristic(self) -> int:
         return 2 - 2 * self.genus - len(self.boundary)
 
@@ -89,11 +85,6 @@ class ConnectedSurface:
             self.orientation.reverse(),
             tuple(c.reversed() for c in self.boundary),
         )
-
-    def fingerprint(self) -> tuple:
-        """Order-insensitive identity: (genus, boundary label multiset, orientation)."""
-        return (self.genus, tuple(sorted(str(c) for c in self.boundary)),
-                self.orientation.symbol)
 
 
 @dataclass(frozen=True)
@@ -169,10 +160,6 @@ class Surface:
         if violations:
             raise LabelError("invalid surface: " + "; ".join(violations))
         return self
-
-    def component_multiset(self) -> tuple[tuple, ...]:
-        """Sorted component fingerprints; the order-independent identity of a surface."""
-        return tuple(sorted(comp.fingerprint() for comp in self.components))
 
     # -- operations --------------------------------------------------------
 

@@ -102,18 +102,23 @@ def dense_size(dimension: int, rank: int) -> int:
     return size
 
 
-def header_dimension(digits: str, rank: int) -> int:
-    """The decimal dimension `digits` of a text header for `rank` indices.
+def header_dimension(digits: str, rank: int, lineno: int) -> int:
+    """The decimal dimension `digits` of the text header on line `lineno`
+    for `rank` indices.
 
-    A dimension with more digits than MAX_ENTRIES is over the budget at any
-    positive rank, so it gets dense_size's DimensionError from its digits.
-    A rank-0 tensor has one entry whatever its dimension and reads as
-    dimension 1, the one format_tensor writes for it.
+    A dimension of 0 is a ParseError.  One with more digits than MAX_ENTRIES
+    is over the budget at any positive rank, so it gets dense_size's
+    DimensionError, which states its digit count.  A rank-0 tensor has one
+    entry whatever its dimension and reads as dimension 1, the one
+    format_tensor writes for it.
     """
     if not rank:
         return 1
-    return read_decimal(digits, MAX_ENTRIES,
-                        lambda significant: _over_budget(significant, rank))
+    dim = read_decimal(digits, MAX_ENTRIES, lambda significant: _over_budget(
+        f"of {len(significant)} digits", rank))
+    if dim < 1:
+        raise ParseError("dimension must be positive", line=lineno)
+    return dim
 
 
 def read_decimal(digits: str, bound: int, too_long) -> int:
@@ -234,6 +239,7 @@ class LabeledTensor:
     def __init__(self, indices: Sequence[SignedIndex], entries: Sequence,
                  backend: str | None = None):
         indices = tuple(indices)
+        entries = tuple(entries)
         labels = [ix.label for ix in indices]
         if len(set(labels)) != len(labels):
             raise LabelError(f"repeated labels within one tensor: {labels}")
@@ -297,15 +303,6 @@ class LabeledTensor:
         dim = self.dimension or 1
         rank = len(self.indices)
         return tuple(dim ** (rank - 1 - k) for k in range(rank))
-
-    def value_at(self, assignment: Sequence[int]) -> Scalar:
-        """Entry at a 0-based index assignment, in index order."""
-        if len(assignment) != self.rank:
-            raise DimensionError(f"assignment has length {len(assignment)}, rank is {self.rank}")
-        flat = 0
-        for stride, v in zip(self._strides(), assignment):
-            flat += stride * v
-        return self.entries[flat]
 
     def assignments(self):
         dim = self.dimension or 1
@@ -607,9 +604,7 @@ def parse_tensor(text: str, backend: str | None = None) -> LabeledTensor:
     signs = signed_labels(m.group("indices"),
                           lambda item, _: ParseError(f"bad index {quoted(item)}", line=lineno))
     rank = len(signs)
-    dim = header_dimension(m.group("dim"), rank)
-    if dim < 1:
-        raise ParseError("dimension must be positive", line=lineno)
+    dim = header_dimension(m.group("dim"), rank, lineno)
     if len({label for label, _ in signs}) != rank:
         raise ParseError("repeated index label", line=lineno)
     indices = tuple(SignedIndex(label, sign, dim) for label, sign in signs)

@@ -40,7 +40,6 @@ from typing import Sequence
 from .errors import ParseError, RelationError
 from .orientation import PLUS
 from .tensor import (
-    DEFAULT_TOLERANCE,
     RATIONAL,
     EntryReader,
     LabeledTensor,
@@ -196,14 +195,13 @@ def _relation_report(data: TqftData) -> RelationReport:
 
 
 def hermitian_check(data: TqftData) -> bool:
-    """True iff every entry of d and p is real (always true for rationals).
+    """True iff every entry of d and p has an imaginary part equal to 0 by
+    `scalars_equal` (always true for rationals).
 
     Real tensors are exactly the ones whose invariant conjugates under
     orientation reversal of the surface.
     """
-    if data.backend == RATIONAL:
-        return True
-    return all(abs(v.imag) <= DEFAULT_TOLERANCE
+    return all(scalars_equal(v.imag, 0, data.backend)
                for v in data.d.entries + data.p.entries)
 
 
@@ -266,9 +264,7 @@ def parse_tqft(text: str) -> TqftData:
     if not m:
         raise ParseError("expected 'tqft dim=<n> backend=<rational|complex>'",
                          line=lineno, column=1)
-    n = header_dimension(m.group("dim"), 3)
-    if n < 1:
-        raise ParseError("dimension must be positive", line=lineno)
+    n = header_dimension(m.group("dim"), 3, lineno)
     backend = m.group("backend")
     bodies = {name: EntryReader(name, rank, n, backend, _DATA_LINE)
               for name, rank in (("d", 1), ("p", 3))}

@@ -541,11 +541,11 @@ class TestInvariant:
     def test_entries_fully_symmetric_on_connected_surface(self):
         surface = Surface.connected(1, "+a,+b,+c")
         tensor = invariant(D2, surface)
-        n = D2.dimension
-        for assign in itertools.product(range(n), repeat=3):
+        values = dict(zip(tensor.assignments(), tensor.entries))
+        for assign in values:
             for perm in itertools.permutations(range(3)):
                 permuted = tuple(assign[k] for k in perm)
-                assert tensor.value_at(assign) == tensor.value_at(permuted)
+                assert values[assign] == values[permuted]
 
     def test_entries_independent_of_boundary_permutation(self):
         base = Surface.connected(2, "+a,-b,+c")

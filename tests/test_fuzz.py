@@ -2,9 +2,10 @@
 
 Each parser, given a mutated valid text, either returns a value that
 round-trips through its formatter or raises ParseError (or the documented
-budget DimensionError).  ``cli.main`` maps any data and surface file
-contents to an exit code 0-3 with no traceback.  A refusal at a budget edge
-allocates nothing of the refused size.
+budget DimensionError).  Every subcommand of ``cli.main`` maps any data and
+surface file contents to an exit code 0-3 with no traceback, a stderr of
+bounded size and, on an error, nothing on stdout.  A refusal at a budget
+edge allocates nothing of the refused size.
 
 Headers are drawn from a list of variants instead of being mutated: a
 mutated dimension anywhere up to the entry budget is valid input that takes
@@ -40,6 +41,7 @@ from tqft2d import (
     TqftError,
     circle,
     closed_invariant,
+    diagonal_family,
     format_scalar,
     format_surface,
     format_tensor,
@@ -52,7 +54,7 @@ from tqft2d import (
     parse_tqft,
     random_surface,
 )
-from tqft2d.cli import _parse_pairs, main
+from tqft2d.cli import MESSAGE_SHOWN, _parse_pairs, main
 from tqft2d.orientation import MINUS, PLUS
 from tqft2d.tensor import MAX_ENTRIES, MAX_GENUS, SCALAR_SHOWN, contract_between
 
@@ -227,13 +229,26 @@ def test_parse_scalar_round_trips_or_refuses(text, backend):
 
 # -- the CLI: an exit code, never a traceback -------------------------------------
 
-PAIRS = ["a0:a1", "b0:b1,a0:a1", "a0:b0", "", "a0", ":", "zz:a0"]
+# The last pair names a valid label too long to be echoed whole.
+PAIRS = ["a0:a1", "b0:b1,a0:a1", "a0:b0", "", "a0", ":", "zz:a0", "x" * 20_000 + ":a0"]
+
+# Files that parse, so that the CLI gets past its parsers: random data, which
+# mostly fail the relations, diagonal data, which pass them, and small surfaces.
+VALID_DATA = st.one_of(
+    st.integers().map(lambda seed: random_data(random.Random(seed))),
+    st.lists(st.sampled_from([Fraction(1), Fraction(-2), Fraction(1, 3)]),
+             min_size=1, max_size=3).map(diagonal_family),
+).map(format_tqft)
+VALID_SURFACES = st.integers().map(lambda seed: format_surface(random_surface(
+    random.Random(seed), prefix=random.Random(seed).choice("ab"), max_total_boundary=4)))
 
 
-@given(data_texts(), surface_texts(), st.integers(0, 5), st.sampled_from(PAIRS))
+# `number` is the genus, trial count or height, kept small for speed.
+@given(st.one_of(data_texts(), VALID_DATA), st.one_of(surface_texts(), VALID_SURFACES),
+       st.integers(0, 6), st.sampled_from(PAIRS), st.integers(-1, 3))
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
-def test_cli_maps_any_file_to_an_exit_code(data_text, surface_text, choice, pairs):
+def test_cli_maps_any_file_to_an_exit_code(data_text, surface_text, choice, pairs, number):
     with tempfile.TemporaryDirectory() as tmp:
         data = os.path.join(tmp, "data.tqft")
         surface = os.path.join(tmp, "surface.srf")
@@ -242,15 +257,20 @@ def test_cli_maps_any_file_to_an_exit_code(data_text, surface_text, choice, pair
         with open(surface, "w", encoding="utf-8") as handle:
             handle.write(surface_text)
         argv = [["check", data], ["invariant", data, surface],
-                ["closed", data, "--genus", "3"], ["glue", surface, "--pairs", pairs],
+                ["closed", data, "--genus", str(number)], ["glue", surface, "--pairs", pairs],
                 ["glue", surface, "--pairs", pairs, "--emit-tensor", data],
-                ["verify", data, "--trials", "1"]][choice]
+                ["verify", data, "--trials", str(number)],
+                ["search", "--dim", "1", "--height", str(number)]][choice]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
     assert (code in (2, 3)) == err.getvalue().startswith(("parse error: ", "error: "))
+    # an error message is cut to MESSAGE_SHOWN characters plus its length
+    assert len(err.getvalue()) <= MESSAGE_SHOWN + 100
+    if code in (2, 3):
+        assert out.getvalue() == ""
 
 
 # -- budget edges allocate nothing -------------------------------------------------

@@ -203,6 +203,12 @@ class TestBackends:
         assert LabeledTensor(idx("+a", 2), [1, 2]).backend == RATIONAL
         assert LabeledTensor(idx("+a", 2), [1.0, 2]).backend == COMPLEX
 
+    def test_entries_may_be_a_generator(self):
+        # detecting the backend must not use up entries that can be read once
+        for values, backend in [([1, 2], RATIONAL), ([1.0, 2], COMPLEX)]:
+            tensor = LabeledTensor(idx("+a", 2), (v for v in values))
+            assert tensor.backend == backend and tensor.entries == (1, 2)
+
     def test_entry_count_checked(self):
         with pytest.raises(DimensionError):
             LabeledTensor(idx("+a", 2), [1, 2, 3])
@@ -476,7 +482,7 @@ def test_parse_complex_edges_match_the_reference(text):
 # plain nested loops over every joint assignment, no strides, no zero skips.
 
 def to_dict(tensor):
-    return {assign: tensor.value_at(assign) for assign in tensor.assignments()}
+    return dict(zip(tensor.assignments(), tensor.entries))
 
 
 def oracle_pairing(tensors, pairs):
@@ -685,17 +691,19 @@ class TestEntryBudget:
         with pytest.raises(DimensionError) as err:
             parse_tensor(f"tensor dim={digits} indices=[{indices}]\n")
         rank = indices.count(",") + 1
-        assert str(err.value) == (f"a tensor with {rank} indices of dimension {digits} "
+        assert str(err.value) == (f"a tensor with {rank} indices of dimension of 5000 digits "
                                   f"exceeds the budget of {MAX_ENTRIES} entries")
 
     def test_header_dimension_edges(self):
-        assert header_dimension(str(MAX_ENTRIES), 1) == MAX_ENTRIES
-        assert header_dimension("0" * 5000 + "7", 2) == 7
-        assert header_dimension("0", 3) == 0
-        with pytest.raises(DimensionError, match=f"dimension {MAX_ENTRIES * 10} exceeds"):
-            header_dimension("000" + str(MAX_ENTRIES * 10), 1)
+        assert header_dimension(str(MAX_ENTRIES), 1, 1) == MAX_ENTRIES
+        assert header_dimension("0" * 5000 + "7", 2, 1) == 7
+        with pytest.raises(ParseError, match="^line 4: dimension must be positive$"):
+            header_dimension("000", 3, 4)
+        with pytest.raises(DimensionError, match="dimension of 8 digits exceeds"):
+            header_dimension("000" + str(MAX_ENTRIES * 10), 1, 1)
         # a scalar has one entry whatever its header says
-        assert header_dimension("9" * 5000, 0) == 1
+        assert header_dimension("9" * 5000, 0, 1) == 1
+        assert header_dimension("0", 0, 1) == 1
         scalar = parse_tensor(f"tensor dim={'9' * 5000} indices=[]\n = 3\n")
         assert scalar.rank == 0 and scalar.entries == (3,)
 

@@ -352,21 +352,23 @@ class TestAnnulus:
         for _ in range(10):
             data = random_diagonal(rng)
             c = annulus_tensor(data)
+            values = dict(zip(c.assignments(), c.entries))
             n = data.dimension
             # c.c == c, computed with plain loops
             for i, j in itertools.product(range(n), repeat=2):
-                got = sum((c.value_at((i, k)) * c.value_at((k, j))
+                got = sum((values[i, k] * values[k, j]
                            for k in range(n)), Fraction(0))
-                assert got == c.value_at((i, j))
+                assert got == values[i, j]
 
     def test_matrix_applied_to_d_returns_d(self):
         rng = random.Random(6)
         for _ in range(10):
             data = random_diagonal(rng)
             c = annulus_tensor(data)
+            values = dict(zip(c.assignments(), c.entries))
             n = data.dimension
             for i in range(n):
-                got = sum((c.value_at((i, j)) * data.d_entry(j)
+                got = sum((values[i, j] * data.d_entry(j)
                            for j in range(n)), Fraction(0))
                 assert got == data.d_entry(i)
 
@@ -512,6 +514,14 @@ class TestHermitian:
         data = TqftData([1j], [-1j], COMPLEX)
         assert check_relations(data).passed
         assert not hermitian_check(data)
+
+    def test_imaginary_part_at_the_tolerance_edge(self):
+        def with_imaginary_d(imag):
+            return TqftData([complex(1, imag)], [1 + 0j], COMPLEX)
+        assert hermitian_check(with_imaginary_d(DEFAULT_TOLERANCE))
+        assert hermitian_check(with_imaginary_d(-DEFAULT_TOLERANCE))
+        assert not hermitian_check(with_imaginary_d(math.nextafter(DEFAULT_TOLERANCE, 1)))
+        assert not hermitian_check(with_imaginary_d(math.nan))
 
     def test_diagonal_family_of_reals_is_hermitian(self):
         rng = random.Random(8)
@@ -719,8 +729,8 @@ class TestDataFileFormat:
     def test_header_too_long_for_int_is_over_the_budget(self, digits):
         with pytest.raises(DimensionError) as err:
             parse_tqft(f"tqft dim={digits} backend=rational\n")
-        assert str(err.value) == (f"a tensor with 3 indices of dimension {digits} "
-                                  f"exceeds the budget of {MAX_ENTRIES} entries")
+        assert str(err.value) == (f"a tensor with 3 indices of dimension of {len(digits)} "
+                                  f"digits exceeds the budget of {MAX_ENTRIES} entries")
 
     def test_header_leading_zeros_are_not_digits_of_size(self):
         data = parse_tqft(f"tqft dim={'0' * 5000}1 backend=rational\np 1 1 1 = 1\n")
