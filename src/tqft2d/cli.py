@@ -9,9 +9,10 @@ Subcommands:
   verify     run the seeded verification suites
   search     exhaustive dimension-1 grid search
 
-Exit codes: 0 ok, 1 failed verdict (check/verify) or a closed stdout,
-2 parse error (a file that is not UTF-8 included), 3 domain error (bad
-labels, orientation mismatch, failed relations, ...).
+Exit codes: 0 ok, 1 failed verdict (check/verify), a verify suite that ran
+no checks (`--trials 0` for functor or monoidal) or a closed stdout, 2 parse
+error (a file that is not UTF-8 included), 3 domain error (bad labels,
+orientation mismatch, failed relations, ...).
 """
 
 from __future__ import annotations
@@ -158,6 +159,8 @@ def run(argv: list[str] | None = None) -> int:
         for report in reports:
             print(f"suite {report.name}")
             print(report.to_text())
+            if not report.checks:
+                print(f"suite {report.name} ran no checks", file=sys.stderr)
             ok = ok and report.passed
         return 0 if ok else 1
 

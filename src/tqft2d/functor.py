@@ -519,7 +519,9 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        """False for a report with no checks: a suite that checked nothing
+        has shown nothing."""
+        return bool(self.checks) and all(c.passed for c in self.checks)
 
     @property
     def failures(self) -> list[Check]:
@@ -617,21 +619,24 @@ def verify_decomposition_invariance(data: TqftData, g_max: int, n_max: int,
     return report
 
 
+RANDOM_BOUNDARY = 4  # most circles on one component of a random_surface
+
+
 def random_surface(rng: random.Random, prefix: str = "s", *,
                    max_components: int = 2, max_genus: int = 2,
-                   max_boundary: int = 4,
                    max_total_boundary: int = 8) -> Surface:
     """A seeded random surface with fresh labels `prefix`0, `prefix`1, ...
 
-    The total boundary count is capped so that the surface's tensor stays a
-    tractable dense array.
+    Each component has at most RANDOM_BOUNDARY circles, and the total
+    boundary count is capped so that the surface's tensor stays a tractable
+    dense array.
     """
     counter = itertools.count()
     components = []
     budget = max_total_boundary
     for _ in range(rng.randint(1, max_components)):
         genus = rng.randint(0, max_genus)
-        count = rng.randint(0, min(max_boundary, budget))
+        count = rng.randint(0, min(RANDOM_BOUNDARY, budget))
         budget -= count
         boundary = tuple(
             BoundaryCircle(f"{prefix}{next(counter)}",

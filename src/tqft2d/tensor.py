@@ -53,8 +53,11 @@ from .orientation import Orientation
 RATIONAL = "rational"
 COMPLEX = "complex"
 DEFAULT_TOLERANCE = 1e-9
-# Largest dense tensor the library allocates (2**22 entries, about 32 MB of
-# references before the scalars themselves).
+# Largest dense tensor the library allocates, in entries.  It bounds entries,
+# not work or bytes.  A rational entry with small numerator and denominator
+# takes about 124 B (measured with tracemalloc on dense4 outputs of 2**16 and
+# 2**18 entries), so a tensor at the cap holds about 0.5 GB, extrapolated;
+# larger numbers take more.
 MAX_ENTRIES = 1 << 22
 # Largest genus the library decomposes.  A pants network of genus g has
 # 2g-2+n nodes and is built before any tensor, so the entry budget cannot

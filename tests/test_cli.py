@@ -173,6 +173,13 @@ class TestGlue:
 
     def test_bad_pairs_syntax(self, write, capsys):
         assert main(["glue", write("s.srf", TWO_DISKS), "--pairs", "ab"]) == 2
+        capsys.readouterr()
+        # a 100000-character value is quoted in a short message
+        assert main(["glue", str(BENCH_DATA / "g1n4.srf"), "--pairs", "?" * 100_000]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("parse error: bad pair '" + "?" * 100 + "'... of 100000 "
+                                "characters; expected 'a:b'\n")
 
     def test_orientation_mismatch_is_domain_error(self, write):
         surface = ("component orient=+ genus=0 boundary=[+a]\n"
@@ -189,6 +196,16 @@ class TestClosed:
     def test_genus_zero(self, write, capsys):
         main(["closed", write("t.tqft", T2_FILE), "--genus", "0"])
         assert capsys.readouterr().out.strip() == "4"
+
+    def test_genus_1000_ends_within_a_minute(self):
+        # A planner that grows faster than about linearly in genus times out.
+        done = subprocess.run(
+            [sys.executable, "-m", "tqft2d.cli", "closed", str(BENCH_DATA / "rot2.tqft"),
+             "--genus", "1000"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert done.returncode == 0 and done.stderr == ""
+        assert done.stdout == f"{1 + Fraction(2) ** -1998}\n"
 
     def test_negative_genus(self, write, capsys):
         assert main(["closed", write("t.tqft", T2_FILE), "--genus", "-1"]) == 3
@@ -249,6 +266,12 @@ class TestInputBudgets:
         bits = 1 + (t ** 2).bit_length()
         assert captured.out == ""
         assert captured.err == (f"error: an exact result of {bits} bits exceeds the limit "
+                                "of 4300 digits for printing an integer\n")
+        # rot2 at the genus budget: Z = 1 + 2**-19998, about 5 s
+        assert main(["closed", str(BENCH_DATA / "rot2.tqft"), "--genus", "10000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: an exact result of 39998 bits exceeds the limit "
                                 "of 4300 digits for printing an integer\n")
 
     def test_index_too_long_for_int_is_a_parse_error(self, write, capsys):
@@ -326,6 +349,21 @@ PASS (g=2, n=3) chain vs rewrite 1
         assert captured.out == ""
         assert captured.err == "error: trials must be non-negative, got -3\n"
 
+    @pytest.mark.parametrize("suite,code", [("moves", 0), ("functor", 1), ("monoidal", 1)])
+    def test_zero_trials_fail_a_suite_that_checks_nothing(self, capsys, suite, code):
+        # moves still checks each shape's chain against its alternate cut
+        assert main(["verify", str(BENCH_DATA / "rot2.tqft"), "--suite", suite,
+                     "--trials", "0"]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.out == f"suite {suite}\n\n"
+            assert captured.err == f"suite {suite} ran no checks\n"
+        else:
+            lines = captured.out.splitlines()
+            assert lines[0] == "suite moves" and len(lines) == 7
+            assert all(line.endswith("chain vs alternate") for line in lines[1:])
+            assert captured.err == ""
+
     @pytest.mark.parametrize("trials", [0, 3])
     def test_all_suites_check_the_relations_once(self, write, capsys, monkeypatch,
                                                   trials):
@@ -339,7 +377,9 @@ PASS (g=2, n=3) chain vs rewrite 1
         monkeypatch.setattr(tqft_module, "contract_between", counting)
         path = write("d2.tqft", format_tqft(diagonal_family([Fraction(1), Fraction(2)])))
         code = main(["verify", path, "--suite", "all", "--trials", str(trials)])
-        assert code == 0 and capsys.readouterr().out.count("suite ") == 3
+        # with no trials the functor and monoidal suites check nothing
+        assert code == (0 if trials else 1)
+        assert capsys.readouterr().out.count("suite ") == 3
         # one relation check makes four contractions; surface tensors are
         # contracted in the functor module, whose calls are not counted here
         assert callers.count("_relation_report") == 4
