@@ -164,13 +164,6 @@ class TestGlue:
             Surface.disk("-b", orientation=MINUS))
         assert s.glue([("a", "b")]).components[0].orientation is PLUS
 
-    def test_merge_puts_the_earlier_components_circles_first(self):
-        s = parse_surface("component orient=+ genus=0 boundary=[+a,+b]\n"
-                          "component orient=- genus=1 boundary=[+c,-d]\n"
-                          "component orient=+ genus=2 boundary=[-e,+f]")
-        assert format_surface(s.glue([("f", "d"), ("e", "a")])) == \
-            "component orient=+ genus=3 boundary=[+b,+c]"
-
     def test_matches_the_list_surgery_oracle(self):
         rng = random.Random("glue-oracle")
         for _ in range(10_000):
