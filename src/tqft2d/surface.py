@@ -177,62 +177,48 @@ class Surface:
 
         Every pair must join one + and one - circle, and no label may occur
         in more than one pair.  Pairs on one component add a handle; pairs
-        across two components merge them: genus adds, the earlier
-        component's orientation and position are kept, and the earlier
-        component's circles come first.  Errors are raised pair by pair:
-        unknown first label, unknown second label, then an orientation
-        clash.  Near-linear in the circle count.
+        across two components merge them (genus adds, the earlier
+        component's orientation and position are kept, and its circles come
+        first).  Each pair rescans and rebuilds the component list, so the
+        cost is quadratic in the component count.
         """
         spec = pairs if isinstance(pairs, GlueSpec) else GlueSpec.of(pairs)
         self.require_valid()
-        comps = self.components
-        # label -> (position of its component, circle); glued labels are removed
-        where = {c.label: (i, c) for i, comp in enumerate(comps) for c in comp.boundary}
-        # Union-find over positions: a group's root is its lowest position and
-        # holds its genus; `after` links the group's components in order, from
-        # the root to `last[root]`.
-        root = list(range(len(comps)))
-        genus = [comp.genus for comp in comps]
-        after: list[int | None] = [None] * len(comps)
-        last = list(range(len(comps)))
+        comps: list[list] = [
+            [comp.genus, comp.orientation, list(comp.boundary)] for comp in self.components
+        ]
 
-        def take(label: str) -> tuple[int, BoundaryCircle]:
-            if label not in where:
-                raise LabelError(f"unknown label {label}")
-            return where.pop(label)
+        def locate(label: str) -> tuple[int, BoundaryCircle]:
+            for ci, (_, _, boundary) in enumerate(comps):
+                for c in boundary:
+                    if c.label == label:
+                        return ci, c
+            raise LabelError(f"unknown label {label}")
 
-        def find(i: int) -> int:
-            while root[i] != i:
-                root[i] = root[root[i]]  # path halving
-                i = root[i]
-            return i
-
+        # No label is in two pairs, so earlier gluings leave a pair's circles
+        # as they were: checking each pair as it is glued raises the errors a
+        # check of all pairs first would, in the same order.
         for a, b in spec.pairs:
-            ia, ca = take(a)
-            ib, cb = take(b)
+            ca_i, ca = locate(a)
+            cb_i, cb = locate(b)
             if ca.orientation is cb.orientation:
                 raise OrientationError(
                     f"cannot glue {ca} to {cb}: need one + and one - circle")
-            first, second = sorted((find(ia), find(ib)))
-            if first == second:
-                genus[first] += 1
+            if ca_i == cb_i:
+                genus, orient, boundary = comps[ca_i]
+                boundary = [c for c in boundary if c.label not in (a, b)]
+                comps[ca_i] = [genus + 1, orient, boundary]
             else:
-                root[second] = first
-                genus[first] += genus[second]
-                after[last[first]] = second
-                last[first] = last[second]
+                first, second = min(ca_i, cb_i), max(ca_i, cb_i)
+                g1, o1, b1 = comps[first]
+                g2, _, b2 = comps[second]
+                merged = [c for c in b1 + b2 if c.label not in (a, b)]
+                comps[first] = [g1 + g2, o1, merged]
+                del comps[second]
 
-        glued = []
-        for i, comp in enumerate(comps):
-            if root[i] != i:
-                continue
-            boundary: list[BoundaryCircle] = []
-            j: int | None = i
-            while j is not None:
-                boundary += (c for c in comps[j].boundary if c.label in where)
-                j = after[j]
-            glued.append(ConnectedSurface(genus[i], comp.orientation, tuple(boundary)))
-        return Surface(tuple(glued))
+        return Surface(tuple(
+            ConnectedSurface(g, o, tuple(b)) for g, o, b in comps
+        ))
 
     def __str__(self) -> str:
         return format_surface(self)

@@ -1,5 +1,4 @@
 import random
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -163,89 +162,6 @@ class TestGlue:
         s = Surface.disk("+a", orientation=PLUS).disjoint_union(
             Surface.disk("-b", orientation=MINUS))
         assert s.glue([("a", "b")]).components[0].orientation is PLUS
-
-    def test_matches_the_list_surgery_oracle(self):
-        rng = random.Random("glue-oracle")
-        for _ in range(10_000):
-            surface, pairs = random_glue_case(rng)
-            assert outcome(lambda: surface.glue(pairs)) == \
-                outcome(lambda: list_surgery_glue(surface, pairs))
-
-    def test_long_reverse_chain_is_near_linear(self):
-        # 8000 three-circle components, each glued to the next, last pair
-        # first: the list-surgery oracle takes about 20 s here.
-        n = 8000
-        surface = Surface(tuple(
-            ConnectedSurface(0, PLUS, circles(f"+a{i},-b{i},+c{i}")) for i in range(n)))
-        pairs = [(f"b{i}", f"a{i + 1}") for i in reversed(range(n - 1))]
-        start = time.perf_counter()
-        glued = surface.glue(pairs)
-        assert time.perf_counter() - start < 2
-        rest = ",".join(f"+c{i}" for i in range(n - 1))
-        assert glued == Surface.of(
-            ConnectedSurface(0, PLUS, circles(f"+a0,{rest},-b{n - 1},+c{n - 1}")))
-
-
-def list_surgery_glue(surface: Surface, pairs) -> Surface:
-    """`Surface.glue` as it was first written: a linear scan per label and a
-    rebuilt circle list per pair, quadratic in the component count.  Kept as
-    the differential oracle."""
-    spec = GlueSpec.of(pairs)
-    surface.require_valid()
-    comps = [[comp.genus, comp.orientation, list(comp.boundary)]
-             for comp in surface.components]
-
-    def locate(label):
-        for ci, (_, _, boundary) in enumerate(comps):
-            for c in boundary:
-                if c.label == label:
-                    return ci, c
-        raise LabelError(f"unknown label {label}")
-
-    for a, b in spec.pairs:
-        ca_i, ca = locate(a)
-        cb_i, cb = locate(b)
-        if ca.orientation is cb.orientation:
-            raise OrientationError(f"cannot glue {ca} to {cb}: need one + and one - circle")
-        if ca_i == cb_i:
-            genus, orient, boundary = comps[ca_i]
-            comps[ca_i] = [genus + 1, orient, [c for c in boundary if c.label not in (a, b)]]
-        else:
-            first, second = min(ca_i, cb_i), max(ca_i, cb_i)
-            g1, o1, b1 = comps[first]
-            g2, _, b2 = comps[second]
-            comps[first] = [g1 + g2, o1, [c for c in b1 + b2 if c.label not in (a, b)]]
-            del comps[second]
-    return Surface(tuple(ConnectedSurface(g, o, tuple(b)) for g, o, b in comps))
-
-
-def random_glue_case(rng: random.Random):
-    """A seeded surface of 1-6 components and up to 12 circles, with pairs
-    that are legal half the time and otherwise drawn from its labels and two
-    unknown ones, so that orientation clashes and unknown labels occur."""
-    labels = [f"x{k}" for k in range(12)]
-    rng.shuffle(labels)
-    comps = []
-    for _ in range(rng.randint(1, 6)):
-        count = rng.randint(0, min(4, len(labels)))
-        boundary = tuple(BoundaryCircle(labels.pop(), rng.choice((PLUS, MINUS)))
-                         for _ in range(count))
-        comps.append(ConnectedSurface(rng.randint(0, 2), rng.choice((PLUS, MINUS)), boundary))
-    surface = Surface(tuple(comps))
-    if rng.random() < 0.5:
-        return surface, list(random_glue_spec(rng, surface).pairs)
-    pool = list(surface.labels()) + ["u0", "u1"]
-    rng.shuffle(pool)
-    count = rng.randint(1, len(pool) // 2)
-    return surface, [(pool[2 * k], pool[2 * k + 1]) for k in range(count)]
-
-
-def outcome(glue):
-    """The glued surface's text, or the error's type and message."""
-    try:
-        return format_surface(glue())
-    except (LabelError, OrientationError) as exc:
-        return type(exc), str(exc)
 
 
 class TestComposeGlue:
