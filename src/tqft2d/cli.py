@@ -18,6 +18,7 @@ orientation mismatch, failed relations, ...).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -63,6 +64,7 @@ def _parse_pairs(text: str) -> GlueSpec:
     return GlueSpec(tuple(pairs))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tqft2d",
@@ -111,9 +113,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if "tqft_file" in args:
+        data = parse_tqft(_read(args.tqft_file))
 
     if args.command == "check":
-        data = parse_tqft(_read(args.tqft_file))
         report = check_relations(data)
         print(report.tokens())
         for result in report.results:
@@ -123,7 +126,6 @@ def run(argv: list[str] | None = None) -> int:
         return 0 if report.passed else 1
 
     if args.command == "invariant":
-        data = parse_tqft(_read(args.tqft_file))
         surface = parse_surface(_read(args.surface_file))
         print(format_tensor(invariant(data, surface)))
         return 0
@@ -140,13 +142,11 @@ def run(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "closed":
-        data = parse_tqft(_read(args.tqft_file))
         value = closed_invariant(data, args.genus)
         print(format_scalar(value, data.backend))
         return 0
 
     if args.command == "verify":
-        data = parse_tqft(_read(args.tqft_file))
         reports = []
         if args.suite in ("all", "moves"):
             reports.append(verify_decomposition_invariance(

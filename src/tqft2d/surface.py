@@ -176,21 +176,20 @@ class Surface:
         """Glue the listed circle pairs.
 
         Every pair must join one + and one - circle, and no label may occur
-        in more than one pair.  Pairs on one component add a handle; pairs
-        across two components merge them (genus adds, the earlier
-        component's orientation and position are kept, and its circles come
-        first).  Each pair rescans and rebuilds the component list, so the
-        cost is quadratic in the component count.
+        in more than one pair.  Each pair merges the one or two components
+        holding its circles, less those circles (the earlier component's
+        orientation and position are kept, and its circles come first); the
+        genus follows from the Euler characteristic, which gluing preserves.
+        Each pair rescans and rebuilds the component list, so the cost is
+        quadratic in the component count.
         """
         spec = pairs if isinstance(pairs, GlueSpec) else GlueSpec.of(pairs)
         self.require_valid()
-        comps: list[list] = [
-            [comp.genus, comp.orientation, list(comp.boundary)] for comp in self.components
-        ]
+        comps = list(self.components)
 
         def locate(label: str) -> tuple[int, BoundaryCircle]:
-            for ci, (_, _, boundary) in enumerate(comps):
-                for c in boundary:
+            for ci, comp in enumerate(comps):
+                for c in comp.boundary:
                     if c.label == label:
                         return ci, c
             raise LabelError(f"unknown label {label}")
@@ -204,21 +203,14 @@ class Surface:
             if ca.orientation is cb.orientation:
                 raise OrientationError(
                     f"cannot glue {ca} to {cb}: need one + and one - circle")
-            if ca_i == cb_i:
-                genus, orient, boundary = comps[ca_i]
-                boundary = [c for c in boundary if c.label not in (a, b)]
-                comps[ca_i] = [genus + 1, orient, boundary]
-            else:
-                first, second = min(ca_i, cb_i), max(ca_i, cb_i)
-                g1, o1, b1 = comps[first]
-                g2, _, b2 = comps[second]
-                merged = [c for c in b1 + b2 if c.label not in (a, b)]
-                comps[first] = [g1 + g2, o1, merged]
-                del comps[second]
-
-        return Surface(tuple(
-            ConnectedSurface(g, o, tuple(b)) for g, o, b in comps
-        ))
+            first, *rest = sorted({ca_i, cb_i})
+            joined = [comps[first]] + [comps.pop(i) for i in rest]
+            boundary = tuple(c for comp in joined for c in comp.boundary
+                             if c.label not in (a, b))
+            euler = sum(comp.euler_characteristic for comp in joined)
+            comps[first] = ConnectedSurface(
+                (2 - euler - len(boundary)) // 2, joined[0].orientation, boundary)
+        return Surface(tuple(comps))
 
     def __str__(self) -> str:
         return format_surface(self)
@@ -242,9 +234,6 @@ class GlueSpec:
                     raise LabelError(f"label {lab} repeated in glue spec")
                 seen.add(lab)
 
-    def labels(self) -> set[str]:
-        return {lab for pair in self.pairs for lab in pair}
-
     def __str__(self) -> str:
         return ",".join(f"{a}:{b}" for a, b in self.pairs)
 
@@ -253,12 +242,9 @@ def compose_glue(first: GlueSpec, second: GlueSpec) -> GlueSpec:
     """The one-shot spec equivalent to gluing `first` and then `second`.
 
     `second` may only mention labels that survive `first`, so the two pair
-    sets must be disjoint; the composite is their union.
+    sets must be disjoint; the composite is their union, and `GlueSpec`
+    refuses a label the two share (LabelError).
     """
-    consumed = first.labels() & second.labels()
-    if consumed:
-        raise LabelError(
-            f"glue composition reuses consumed labels: {sorted(consumed)}")
     return GlueSpec(first.pairs + second.pairs)
 
 

@@ -30,7 +30,6 @@ after its prefix, read by ``EntryReader`` and written by ``entry_lines``.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -57,6 +56,9 @@ from .tensor import (
 )
 
 RELATION_NAMES = ("exchange", "symmetry", "disk_absorption", "cylinder_absorption")
+# p's two slot transpositions, as permute_indices axes; they generate all six
+# slot permutations.
+_TRANSPOSITIONS = ((1, 0, 2), (0, 2, 1))
 
 
 class TqftData:
@@ -83,8 +85,9 @@ class TqftData:
             (SignedIndex("i", PLUS, n), SignedIndex("j", PLUS, n),
              SignedIndex("k", PLUS, n)),
             p_entries, backend)
-        for (i, j, k), a, b in _symmetry_pairs(p):
-            if not scalars_equal(a, b, backend):
+        swaps = [p.permute_indices(perm).entries for perm in _TRANSPOSITIONS]
+        for (i, j, k), base, a, b in zip(p.assignments(), p.entries, *swaps):
+            if not (scalars_equal(a, base, backend) and scalars_equal(b, base, backend)):
                 raise RelationError(
                     f"p is not symmetric at slot indices ({i + 1},{j + 1},{k + 1})")
         object.__setattr__(self, "dimension", n)
@@ -105,18 +108,6 @@ class TqftData:
 
     def __repr__(self) -> str:
         return f"TqftData(dim={self.dimension}, backend={self.backend})"
-
-
-def _symmetry_pairs(p: LabeledTensor):
-    """Yield ((i, j, k), p[j,i,k], p[i,j,k]) and ((i, j, k), p[i,k,j],
-    p[i,j,k]) for every slot triple; the two transpositions generate all
-    six slot permutations."""
-    n = p.dimension
-    pe = p.entries
-    for i, j, k in itertools.product(range(n), repeat=3):
-        base = pe[(i * n + j) * n + k]
-        yield (i, j, k), pe[(j * n + i) * n + k], base
-        yield (i, j, k), pe[(i * n + k) * n + j], base
 
 
 @dataclass(frozen=True)
@@ -182,7 +173,8 @@ def _relation_report(data: TqftData) -> RelationReport:
     }
     gaps = {name: [abs(x - y) for x, y in zip(lhs.entries, rhs.entries)]
             for name, (lhs, rhs) in sides.items()}
-    gaps["symmetry"] = [abs(a - b) for _, a, b in _symmetry_pairs(p)]
+    gaps["symmetry"] = [abs(a - b) for perm in _TRANSPOSITIONS
+                        for a, b in zip(p.permute_indices(perm).entries, p.entries)]
     results = []
     for name in RELATION_NAMES:
         # |x - y| equals 0 by the rule exactly when x equals y by it.

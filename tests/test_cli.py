@@ -124,6 +124,18 @@ class TestCheck:
         assert captured.err == ("disk_absorption: max violation 1+0i\n"
                                 "cylinder_absorption: max violation 2+0i\n")
 
+    # The first bad slot triple of each p shows under one transposition only.
+    @pytest.mark.parametrize("entries,triple", [
+        ("p 1 2 2 = 1\np 2 2 1 = 1\n", "(1,2,2)"),
+        ("p 1 1 2 = 1\np 1 2 2 = 1\n", "(1,1,2)"),
+    ])
+    def test_asymmetric_p_names_its_first_bad_triple(self, write, capsys, entries, triple):
+        text = "tqft dim=2 backend=rational\nd 1 = 1\nd 2 = 1\n" + entries
+        assert main(["check", write("asym.tqft", text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"parse error: p is not symmetric at slot indices {triple}\n"
+
     def test_passing_file_writes_nothing_to_stderr(self, write, capsys):
         assert main(["check", write("t2.tqft", T2_FILE)]) == 0
         assert capsys.readouterr().err == ""

@@ -16,6 +16,7 @@ from tqft2d import (
     Orientation,
     ParseError,
     Surface,
+    circle,
     circles,
     compose_glue,
     format_surface,
@@ -59,6 +60,17 @@ class TestValidation:
             [f"genus {genus!r} is not an integer"]
         with pytest.raises(LabelError, match="is not an integer"):
             Surface.connected(genus).require_valid()
+
+
+class TestCircle:
+    def test_one_circle(self):
+        assert circle("+a") == BoundaryCircle("a", PLUS)
+        assert circle(" -rim_2 ") == BoundaryCircle("rim_2", MINUS)
+
+    @pytest.mark.parametrize("text", ["+a,-b", "", "a"])
+    def test_anything_else_is_a_label_error(self, text):
+        with pytest.raises(LabelError):
+            circle(text)
 
 
 class TestEuler:
@@ -182,7 +194,7 @@ class TestComposeGlue:
         assert compose_glue(GlueSpec(), second) == second
 
     def test_consumed_label_rejected(self):
-        with pytest.raises(LabelError):
+        with pytest.raises(LabelError, match="^label a repeated in glue spec$"):
             compose_glue(GlueSpec((("a", "b"),)), GlueSpec((("a", "c"),)))
 
 

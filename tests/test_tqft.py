@@ -59,6 +59,22 @@ class TestTqftData:
         with pytest.raises(RelationError):
             TqftData([Fraction(1), Fraction(1)], p)
 
+    # Each p has one entry set at each 0-based slot triple listed.  In the
+    # first, the first bad triple, (1,2,2), shows only when the first two
+    # slots swap (swapping the last two first shows (2,1,2)); in the second,
+    # (1,1,2) shows only when the last two swap (the first two, (1,2,2)).
+    @pytest.mark.parametrize("ones,triple", [
+        ([(0, 1, 1), (1, 1, 0)], "(1,2,2)"),
+        ([(0, 0, 1), (0, 1, 1)], "(1,1,2)"),
+    ])
+    def test_symmetry_error_names_the_first_bad_triple(self, ones, triple):
+        p = [Fraction(0)] * 8
+        for i, j, k in ones:
+            p[(i * 2 + j) * 2 + k] = Fraction(1)
+        with pytest.raises(RelationError) as caught:
+            TqftData([Fraction(1), Fraction(1)], p)
+        assert str(caught.value) == f"p is not symmetric at slot indices {triple}"
+
     def test_dimension_consistency(self):
         with pytest.raises(Exception):
             TqftData([Fraction(1)], [Fraction(1), Fraction(2)])
