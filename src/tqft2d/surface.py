@@ -180,8 +180,8 @@ class Surface:
         holding its circles, less those circles (the earlier component's
         orientation and position are kept, and its circles come first); the
         genus follows from the Euler characteristic, which gluing preserves.
-        Each pair rescans and rebuilds the component list, so the cost is
-        quadratic in the component count.
+        Each pair rescans the component list, so the cost is quadratic in
+        the component count.
         """
         spec = pairs if isinstance(pairs, GlueSpec) else GlueSpec.of(pairs)
         self.require_valid()
