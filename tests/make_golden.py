@@ -45,8 +45,8 @@ p 1 1 2 = 1e-12i
 p 2 2 2 = 0.470588235294+0.117647058824i
 """
 
-# Asymmetric: the first bad slot triple, (1,1,2), shows only under the swap
-# of the last two slots; the first swap of the first two shows at (1,2,2).
+# Asymmetric: the first bad slot triple, (1,1,2), shows only when the last
+# two slots swap; swapping the first two slots first shows (1,2,2).
 ASYMMETRIC = """tqft dim=2 backend=rational
 d 1 = 1
 d 2 = 1
