@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import time
@@ -191,6 +192,17 @@ class TestPantsDecomposition:
             "pants[(cut1 cut3 cut3) (cut1 cut4 cut4)] external[] internal[cut1,cut3,cut4]"
         assert str(pants_decomposition(1, 1, labels=["cut2"])) == \
             "pants[(cut2 cut3 cut3)] external[cut2] internal[cut3]"
+
+    def test_chain_layout_is_pinned(self):
+        # Every leg of every chain with g, n <= 12, with the default labels and
+        # with labels that collide with the default cut names: 330 shapes.
+        layouts = [str(pants_decomposition(g, n, labels=labels))
+                   for g, n in itertools.product(range(13), repeat=2)
+                   if 2 * g - 2 + n >= 1
+                   for labels in (None, [f"cut{k + 1}" for k in range(n)])]
+        assert len(layouts) == 330
+        assert hashlib.sha256("\n".join(layouts).encode()).hexdigest() == \
+            "78262ae8270854d96db1b6c621f825b1f54ca6e7919a01c2edc6461c8f5c3b11"
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_every_shape_up_to_ten_is_valid(self, strategy):
