@@ -174,9 +174,12 @@ def _internal_names(count: int, reserved: set[str]) -> list[str]:
 
 def pants_decomposition(genus: int, boundary_count: int, *,
                         labels: Sequence[str] | None = None) -> PantsDecomposition:
-    """The chain (caterpillar) decomposition of the connected
-    (genus, boundary_count) surface; valid by construction.
+    """The chain decomposition of the connected (genus, boundary_count)
+    surface; valid by construction.
 
+    The spine is one row of legs cut into triples, (x0 x1 c1) (c1 x2 c2) ...
+    (c x x): the x's are the boundary labels, then the circles attaching the
+    g handle nodes (x h h), and each spine cut c appears twice in a row.
     `labels` names the external legs (defaults to b1..bn).
     """
     g, n = genus, boundary_count
@@ -197,40 +200,25 @@ def pants_decomposition(genus: int, boundary_count: int, *,
         if not LABEL_RE.fullmatch(label):
             raise LabelError(f"bad label {quoted(label)}")
 
-    total = 2 * g - 2 + n
-    spine_len = total - g
-    names = _internal_names((spine_len - 1 if spine_len else 0) + 2 * g, set(external))
-    spine_cuts = names[:max(spine_len - 1, 0)]
-    rest = names[max(spine_len - 1, 0):]
-    attach = rest[:g]
-    handles = rest[g:]
-
-    nodes: list[list[str]] = []
+    spine_len = g - 2 + n  # 2g-2+n pants, g of them handle nodes
+    cuts = max(spine_len - 1, 0)
+    names = _internal_names(cuts + 2 * g, set(external))
+    spine_cuts, attach, handles = names[:cuts], names[cuts:cuts + g], names[cuts + g:]
+    nodes: list[tuple[str, ...]] = []
     if spine_len >= 1:
-        # Fill free spine slots front to back: boundary legs first, then
-        # the circles that attach the handle nodes.
-        queue = iter(external + attach)
-        for k in range(spine_len):
-            legs: list[str] = []
-            if k > 0:
-                legs.append(spine_cuts[k - 1])
-            free = 3 - len(legs) - (1 if k < spine_len - 1 else 0)
-            for _ in range(free):
-                legs.append(next(queue))
-            if k < spine_len - 1:
-                legs.append(spine_cuts[k])
-            nodes.append(legs)
+        xs = external + attach
+        row = [xs[0], *itertools.chain.from_iterable(
+            (x, c, c) for x, c in zip(xs[1:], spine_cuts)), *xs[-2:]]
+        nodes = [tuple(row[k:k + 3]) for k in range(0, len(row), 3)]
     else:
         # (1, 1) and (2, 0) have no spine: the handles hang off the one
         # boundary circle, or off one circle joining the two handle nodes.
         attach = external or attach[:1] * 2
-    for i in range(g):
-        nodes.append([attach[i], handles[i], handles[i]])
+    nodes += [(a, h, h) for a, h in zip(attach, handles)]
 
     internal = {leg for legs in nodes for leg in legs} - set(external)
-    return PantsDecomposition(
-        tuple(Pants(tuple(legs)) for legs in nodes),
-        frozenset(external), frozenset(internal))
+    return PantsDecomposition(tuple(Pants(legs) for legs in nodes),
+                              frozenset(external), frozenset(internal))
 
 
 Move = tuple[int, int, str, int]

@@ -370,9 +370,6 @@ class LabeledTensor:
     def canonical(self) -> "LabeledTensor":
         """Indices sorted by label; the normal form used to compare tensors
         whose index orders differ."""
-        if all(self.indices[k].label <= self.indices[k + 1].label
-               for k in range(self.rank - 1)):
-            return self
         order = sorted(range(self.rank), key=lambda k: self.indices[k].label)
         return self.permute_indices(order)
 
