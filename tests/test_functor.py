@@ -435,6 +435,9 @@ class TestGenusBudget:
                 closed_invariant(D2, genus)
             with pytest.raises(DimensionError, match="budget"):
                 invariant(D2, Surface.connected(genus, "+a,-b"))
+        with pytest.raises(DimensionError, match=(
+                f"^genus {MAX_GENUS + 1} exceeds the budget of {MAX_GENUS}$")):
+            invariant(ROTATED, Surface.connected(MAX_GENUS + 1, "+a"))
 
 
 class TestExchangeMoves:
@@ -473,9 +476,10 @@ class TestInvariant:
         assert invariant(D2, Surface.empty()).entries == (1,)
 
     def test_disk_is_the_rank1_generator(self):
-        tensor = invariant(D2, Surface.disk("+a"))
-        assert tensor.entries == D2.d.entries
-        assert tensor.indices == (SignedIndex("a", PLUS, 2),)
+        for data in (D2, ROTATED):
+            tensor = invariant(data, Surface.disk("+a"))
+            assert tensor.entries == data.d.entries
+            assert tensor.indices == (SignedIndex("a", PLUS, 2),)
 
     def test_disk_with_reversed_circle_keeps_entries(self):
         tensor = invariant(D2, Surface.disk("-a"))
@@ -487,16 +491,32 @@ class TestInvariant:
         assert invariant(D2, Surface.torus()).entries == (2,)
         annulus = invariant(D2, Surface.annulus("-a,+b"))
         assert annulus.entries == annulus_tensor(D2).entries
+        for data in (D2, ROTATED):
+            # c[i,j] = sum_k d[k] p[k,i,j]
+            n = data.dimension
+            oracle = tuple(
+                sum((data.d_entry(k) * data.p_entry(k, i, j) for k in range(n)), Fraction(0))
+                for i, j in itertools.product(range(n), repeat=2))
+            assert invariant(data, Surface.annulus("-a,+b")).entries == oracle
 
     def test_one_holed_torus_matches_self_contraction_oracle(self):
         # cutting the handle of a one-holed torus leaves one pants whose two
         # matching legs are traced: h[i] = sum_j p[i,j,j]
-        tensor = invariant(D2, Surface.connected(1, "+a"))
-        n = D2.dimension
-        oracle = tuple(
-            sum((D2.p_entry(i, j, j) for j in range(n)), Fraction(0))
-            for i in range(n))
-        assert tensor.entries == oracle
+        for data in (D2, ROTATED):
+            tensor = invariant(data, Surface.connected(1, "+a"))
+            n = data.dimension
+            oracle = tuple(
+                sum((data.p_entry(i, j, j) for j in range(n)), Fraction(0))
+                for i in range(n))
+            assert tensor.entries == oracle
+
+    @pytest.mark.parametrize("genus, count", [(0, 23), (2, 23), (0, 30)])
+    def test_wide_boundary_over_the_entry_budget(self, genus, count):
+        surface = Surface.connected(genus, ",".join(f"+a{k}" for k in range(count)))
+        with pytest.raises(DimensionError, match=(
+                f"^a tensor with {count} indices of dimension 2 "
+                f"exceeds the budget of 4194304 entries$")):
+            invariant(D2, surface)
 
     def test_genus2_dim1_matches_bruteforce_contraction(self):
         # two pants glued along three circles: sum_{ijk} p[i,j,k]^2

@@ -289,11 +289,13 @@ WIDE_TOO = WIDE.relabel({f"a{k}": f"b{k}" for k in range(12)})
     lambda: parse_surface(f"component orient=+ genus={'9' * 5000} boundary=[]\n"),
     lambda: closed_invariant(T2, MAX_GENUS + 1),
     lambda: invariant(T2, Surface.connected(MAX_GENUS + 1, "+a,-b")),
+    lambda: invariant(diagonal_family([1, 2]),
+                      Surface.connected(0, ",".join(f"+a{k}" for k in range(23)))),
     lambda: LabeledTensor([SignedIndex(f"a{k}", PLUS, 2) for k in range(23)], []),
     lambda: contract_between(WIDE, WIDE_TOO, ()),
 ], ids=["data header", "data header digits", "literal rank", "literal dimension",
-        "genus", "genus digits", "closed genus", "surface genus", "construction",
-        "contraction"])
+        "genus", "genus digits", "closed genus", "surface genus", "surface width",
+        "construction", "contraction"])
 def test_budget_edges_allocate_nothing(refused):
     tracemalloc.start()
     try:
