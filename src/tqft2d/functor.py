@@ -10,9 +10,18 @@ d and p nodes instead.  Components multiply via the tensor product.
 The contraction planner is greedy (smallest intermediate rank first) and
 plans a network of P pants in O(P log P).
 
-Every surface is cut one way, the `chain`: a caterpillar with boundary legs
-hanging off the front of a linear spine and handles as self-paired legs at
-the end.  Regrouping moves, singly or from a seeded rewrite generator,
+A component with at least one boundary circle, on rational data whose
+stored relation report passed, is not cut at all: such data are a
+commutative Frobenius algebra, and its tensor is a short product of the
+algebra's matrices, the normal form.  The choice only reads the stored
+report; `invariant` computes it when it requires the relations, its
+default.  Closed components, complex data, data failing the relations and
+data never checked are cut into pants, and the pants network is the oracle
+the tests hold the normal form to.
+
+Every cut surface is cut one way, the `chain`: a caterpillar with boundary
+legs hanging off the front of a linear spine and handles as self-paired legs
+at the end.  Regrouping moves, singly or from a seeded rewrite generator,
 regroup the four legs around a circle joining two pants.  The verification
 suites check that the invariant does not depend on the decomposition, that
 gluing surfaces matches contracting tensors, that two-stage gluings compose,
@@ -41,16 +50,18 @@ from .surface import (
 )
 from .tensor import (
     MAX_GENUS,
+    RATIONAL,
     LabeledTensor,
     SignedIndex,
     contract_between,
     contract_within,
+    dense_size,
     format_scalar,
     genus_over_budget,
     quoted,
     scalars_equal,
 )
-from .tqft import TqftData, check_relations
+from .tqft import TqftData, check_relations, frobenius_algebra
 
 # The shapes with no pants decomposition as networks of generator nodes, one
 # leg tuple per node (d has one leg, p three).  b1, b2 are the boundary
@@ -392,8 +403,77 @@ def invariant_of_decomposition(data: TqftData,
         data, [node.legs for node in decomposition.pants], boundary)
 
 
+def _normal_form(data: TqftData, genus: int,
+                 boundary: Sequence[BoundaryCircle]) -> LabeledTensor:
+    """The tensor of a connected surface with n >= 1 boundary circles, read
+    off the Frobenius algebra of data that pass the relations.
+
+    With B = M^genus and L_a[i,j] = p[a,i,j], the tensor is B d for n = 1,
+    c B for n = 2 and Z[i1..in] = (L_{i2} ... L_{i(n-1)} B)[i1,in] for
+    n >= 3 (c L_a = L_a).  Each product is an engine call on operands built
+    by the trusted constructor.  B is applied by repeated squaring to the
+    first factor Y (d, c or p), so no identity is built at genus 0.
+
+    An entry depends only on the multiset of its indices, so only the
+    non-decreasing index tuples are walked.  The first two indices of a
+    tuple select a block of Y; from then on each prefix owns one row, and
+    that row times p is one engine call giving the rows of every next index.
+    The dense output is filled through an additive multiset key, the count
+    of each value v as digit v in base n + 1, so equal entries share one
+    scalar object.
+    """
+    n, dim, backend = len(boundary), data.dimension, data.backend
+    dense_size(dim, n)
+    algebra = frobenius_algebra(data)
+    legs = (SignedIndex("x'", PLUS, dim), SignedIndex("y'", PLUS, dim),
+            SignedIndex("z'", MINUS, dim))
+
+    def times(left: tuple, rank: int, right: LabeledTensor) -> tuple:
+        # left's last index summed against right's first
+        operand = LabeledTensor._of(legs[-rank:], left, backend)
+        return contract_between(operand, right, [("z'", right.labels[0])]).entries
+
+    rank = min(n, 3)
+    y = (data.d, algebra.c, data.p)[rank - 1].entries
+    power = algebra.handle
+    while genus:
+        if genus & 1:
+            y = times(y, rank, power)
+        genus >>= 1
+        if genus:
+            power = LabeledTensor._of(power.indices, times(power.entries, 2, power), backend)
+
+    weights = [(n + 1) ** v for v in range(dim)]
+    blocks = [(0, 0, y)]  # (key of the prefix, its last index, its block)
+    for depth in range(n - 1):
+        grown = []
+        for key, last, block in blocks:
+            if depth >= 2:  # a row past Y's blocks; a zero row stays zero
+                block = times(block, 1, data.p) if any(block) else block * dim
+            step = len(block) // dim
+            grown += [(key + weights[v], v, block[v * step:(v + 1) * step])
+                      for v in range(last, dim)]
+        blocks = grown
+    value = {key + weights[v]: block[v]
+             for key, last, block in blocks for v in range(last, dim)}
+    keys = [0]
+    for _ in range(n - 1):
+        keys = [base + w for base in keys for w in weights]
+    return LabeledTensor._of(
+        tuple(SignedIndex(c.label, c.orientation, dim) for c in boundary),
+        tuple([value[base + w] for base in keys for w in weights]), backend)
+
+
 def _component_invariant(data: TqftData, component: ConnectedSurface) -> LabeledTensor:
+    """From the normal form for n >= 1 circles on rational data whose stored
+    relation report passed, else from the pants network.  The report is read,
+    never computed, here."""
     g, n = component.genus, len(component.boundary)
+    if g > MAX_GENUS:
+        raise genus_over_budget(g)
+    report = data._reports.get("relations")
+    if n and data.backend == RATIONAL and report is not None and report.passed:
+        return _normal_form(data, g, component.boundary)
     labels = component.labels()
     if (g, n) in EXCEPTIONAL:
         rename = {f"b{k + 1}": label for k, label in enumerate(labels)}

@@ -14,8 +14,11 @@ side of exchange and of the absorption relations is a contraction by the
 tensor engine, compared entrywise by ``scalars_equal``.  The verdict is a
 property of the datum, so it is computed once per datum and stored on the
 immutable ``TqftData``.  When the relations hold, the annulus tensor
-c[i,j] = d[k] p[k,i,j] (built, like every surface tensor, in ``functor``)
-is an idempotent matrix fixing d.
+c[i,j] = d[k] p[k,i,j] is an idempotent matrix fixing d, and the datum is a
+commutative Frobenius algebra (Abrams 1996; Kock 2003) whose multiplication
+by the basis element a is the slice L_a[i,j] = p[a,i,j];
+``frobenius_algebra`` builds, once per datum, the matrices ``functor``
+evaluates bounded surfaces with.
 
 Data file format (1-based indices, omitted entries are zero; the loader
 rejects p entries that are not symmetric as supplied)::
@@ -37,7 +40,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import ParseError, RelationError
-from .orientation import PLUS
+from .orientation import MINUS, PLUS
 from .tensor import (
     RATIONAL,
     EntryReader,
@@ -46,6 +49,7 @@ from .tensor import (
     SignedIndex,
     coerce_scalar,
     contract_between,
+    contract_within,
     dense_size,
     detect_backend,
     entry_lines,
@@ -65,10 +69,13 @@ class TqftData:
     """Dimension n plus the tensors d (rank 1) and p (rank 3, symmetric).
 
     Immutable: assigning an attribute after construction raises
-    AttributeError, so the relation report that check_relations stores on
-    the datum (filled on first use) never goes stale.  Beside it sits p's
-    worst slot-swap gap, measured once, when the constructor checks that p
-    is symmetric.
+    AttributeError, so what `_reports` stores, each built once, never goes
+    stale:
+
+    * ``"symmetry"``: p's worst slot-swap gap, measured when the constructor
+      checks that p is symmetric;
+    * ``"relations"``: the RelationReport of check_relations, on first use;
+    * ``"algebra"``: the FrobeniusAlgebra of frobenius_algebra, on first use.
     """
 
     __slots__ = ("dimension", "d", "p", "backend", "_reports")
@@ -152,18 +159,31 @@ def check_relations(data: TqftData) -> RelationReport:
     first call, and stored on the immutable datum; later calls return that
     same frozen report.
     """
-    report = data._reports.get("relations")
-    if report is None:
-        # Threads racing on a cold datum compute equal reports; setdefault
+    return _stored(data, "relations", _relation_report)
+
+
+def _stored(data: TqftData, name: str, build):
+    """``data._reports[name]``, set to ``build(data)`` on first use."""
+    value = data._reports.get(name)
+    if value is None:
+        # Threads racing on a cold datum build equal values; setdefault
         # keeps the first stored, so every caller gets the same one.
-        report = data._reports.setdefault("relations", _relation_report(data))
-    return report
+        value = data._reports.setdefault(name, build(data))
+    return value
+
+
+def _p_low(data: TqftData) -> LabeledTensor:
+    """p as p[h,l,m] with its first slot lowered, so that a + index of
+    another tensor can be summed against it."""
+    n = data.dimension
+    return LabeledTensor._of(
+        (SignedIndex("h", MINUS, n), SignedIndex("l", PLUS, n), SignedIndex("m", PLUS, n)),
+        data.p.entries, data.backend)
 
 
 def _relation_report(data: TqftData) -> RelationReport:
     p, d = data.p, data.d
-    # p with its first slot lowered, to contract against every tensor here.
-    p_low = p.relabel({"i": "h", "j": "l", "k": "m"}).flip_signs(["h"])
+    p_low = _p_low(data)
     # q[i,j,l,m] = p[i,j,k] p[k,l,m]; the exchange relation says q is
     # symmetric in its middle two slots.
     q = contract_between(p, p_low, [("k", "h")])
@@ -188,6 +208,32 @@ def _relation_report(data: TqftData) -> RelationReport:
             worst = math.nan  # max() returns a NaN only when it comes first
         results.append(RelationResult(name, passed, worst))
     return RelationReport(tuple(results))
+
+
+@dataclass(frozen=True)
+class FrobeniusAlgebra:
+    """A datum read as a commutative Frobenius algebra.  Its structure
+    constants are p's slices L_a[i,j] = p[a,i,j], read from the datum
+    itself; the identities the surfaces need (c L_a = L_a, c d = d,
+    L_a L_b = L_b L_a) hold only when the datum passes the relations.
+    The matrices c and M have indices (+l, +m), the vector tau (+i)."""
+
+    c: LabeledTensor       # c[i,j] = sum_a d[a] p[a,i,j]: the annulus
+    tau: LabeledTensor     # tau[a] = sum_h p[a,h,h]: the one-holed torus
+    handle: LabeledTensor  # M[i,j] = sum_a tau[a] p[a,i,j]: one more handle
+
+
+def frobenius_algebra(data: TqftData) -> FrobeniusAlgebra:
+    """The algebra of `data`, built on the first call (three engine calls of
+    at most dim**3 multiplications) and stored on the datum."""
+    return _stored(data, "algebra", _algebra)
+
+
+def _algebra(data: TqftData) -> FrobeniusAlgebra:
+    p_low = _p_low(data)
+    tau = contract_within(data.p.flip_signs(["k"]), [("j", "k")])
+    return FrobeniusAlgebra(contract_between(data.d, p_low, [("i", "h")]), tau,
+                            contract_between(tau, p_low, [("i", "h")]))
 
 
 def hermitian_check(data: TqftData) -> bool:

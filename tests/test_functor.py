@@ -50,6 +50,7 @@ from tqft2d.functor import (
     EXCEPTIONAL,
     MISMATCH_SHOWN,
     _contract_network,
+    _network_invariant,
     _pants_mismatch,
     _pants_network,
     _tensor_mismatch,
@@ -372,13 +373,22 @@ class TestValidateOnce:
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_invariant(self, monkeypatch, strategy):
-        surface = Surface.connected(2, "+a,-b,+c")
+        surface = Surface.connected(3)  # closed, so it is cut into pants
         check_relations(ROTATED)  # the stored report is built outside the count
         decompose_by(monkeypatch, strategy)
         expected = invariant(ROTATED, surface)
         validated, built = self.counted(monkeypatch)
         assert invariant(ROTATED, surface) == expected
         assert len(validated) == 1
+        assert built == []
+
+    def test_normal_form_neither_cuts_nor_validates(self, monkeypatch):
+        surface = Surface.connected(2, "+a,-b,+c")
+        check_relations(ROTATED)
+        expected = invariant(ROTATED, surface)  # also stores the algebra
+        validated, built = self.counted(monkeypatch)
+        assert invariant(ROTATED, surface) == expected
+        assert validated == []
         assert built == []
 
     def test_moves_suite(self, monkeypatch):
@@ -537,11 +547,13 @@ class TestInvariant:
             Fraction(0))
         assert closed_invariant(data, 2) == oracle == Fraction(5, 4)
 
-    def test_strategies_agree(self, monkeypatch):
-        surface = Surface.connected(2, "+a,-b")
-        chain = invariant(D2, surface)
-        decompose_by(monkeypatch, "alternate")
-        assert chain == invariant(D2, surface)
+    def test_strategies_agree(self):
+        boundary = circles("+a,-b")
+        chain, alternate = (
+            invariant_of_decomposition(D2, decompose(2, 2, strategy, ["a", "b"]), boundary)
+            for strategy in STRATEGIES)
+        assert chain == alternate
+        assert chain == invariant(D2, Surface.connected(2, boundary))  # the normal form
 
     def test_components_multiply(self):
         s1 = Surface.disk("+a")
@@ -598,6 +610,109 @@ class TestInvariant:
         a = invariant(D2, surface)
         b = invariant(D2, surface.reverse_orientation())
         assert b == a.flip_signs()
+
+
+def householder_family(t, v):
+    """The diagonal family rotated by the rational Householder reflection
+    Q = I - 2 v v^T / (v^T v): a valid datum whose entries are all dense."""
+    n = len(t)
+    norm = sum(Fraction(x) * x for x in v)
+    q = [[int(i == a) - 2 * Fraction(v[i] * v[a]) / norm for a in range(n)]
+         for i in range(n)]
+    d = [sum(q[i][a] * t[a] for a in range(n)) for i in range(n)]
+    p = [sum(q[i][a] * q[j][a] * q[k][a] / t[a] for a in range(n))
+         for i, j, k in itertools.product(range(n), repeat=3)]
+    return TqftData(d, p)
+
+
+HOUSEHOLDER4 = householder_family([Fraction(1), Fraction(2), Fraction(-1, 3), Fraction(5)],
+                                  [1, 2, -1, 3])
+
+
+def chain_invariant(data, genus, boundary):
+    """The pants network of the chain, or of the fixed network of a shape
+    without one: the oracle of the normal form."""
+    if (genus, len(boundary)) in EXCEPTIONAL:
+        rename = {f"b{k + 1}": c.label for k, c in enumerate(boundary)}
+        nodes = [[rename.get(leg, leg) for leg in legs]
+                 for legs in EXCEPTIONAL[genus, len(boundary)]]
+        return _network_invariant(data, nodes, boundary)
+    decomposition = pants_decomposition(genus, len(boundary),
+                                        labels=[c.label for c in boundary])
+    return invariant_of_decomposition(data, decomposition, boundary)
+
+
+class TestNormalForm:
+    """Surfaces with a boundary on rational data whose stored relation report
+    passed are read off the Frobenius algebra; everything else is cut into
+    pants."""
+
+    @pytest.mark.parametrize("data", [
+        diagonal_family([Fraction(-2)]), D2,
+        diagonal_family([Fraction(2), Fraction(-1, 3), Fraction(5)]),
+        diagonal_family([Fraction(1), Fraction(2), Fraction(3, 2), Fraction(-7)]),
+        ROTATED, HOUSEHOLDER4], ids=["diag1", "diag2", "diag3", "diag4", "rotated",
+                                     "householder4"])
+    def test_equals_the_chain_network(self, monkeypatch, data):
+        assert check_relations(data).passed
+        taken = []
+        normal_form = functor._normal_form
+        monkeypatch.setattr(functor, "_normal_form",
+                            lambda *args: taken.append(args) or normal_form(*args))
+        rng = random.Random(f"normal form {data.dimension}")
+        for genus in range(4):
+            for count in range(1, 7):
+                boundary = tuple(BoundaryCircle(f"b{k}", rng.choice((PLUS, MINUS)))
+                                 for k in rng.sample(range(10), count))
+                got = invariant(data, Surface.connected(genus, boundary))
+                expected = chain_invariant(data, genus, boundary)
+                assert got.indices == expected.indices, (genus, count)
+                assert got.entries == expected.entries, (genus, count)
+        assert len(taken) == 4 * 6
+
+    def test_equal_entries_share_one_object(self):
+        tensor = invariant(HOUSEHOLDER4, Surface.connected(1, "+a,+b,+c,+d"))
+        assert len({id(v) for v in tensor.entries}) == len(set(tensor.entries)) == 35
+
+    @pytest.fixture
+    def cut(self, monkeypatch):
+        """Fail any call of the normal form; return the list of decompositions
+        the pants path evaluates."""
+        def refuse(*args):
+            raise AssertionError("normal form taken")
+
+        evaluated = []
+        original = functor.invariant_of_decomposition
+
+        def recording(data, decomposition, boundary):
+            evaluated.append(decomposition)
+            return original(data, decomposition, boundary)
+
+        monkeypatch.setattr(functor, "_normal_form", refuse)
+        monkeypatch.setattr(functor, "invariant_of_decomposition", recording)
+        return evaluated
+
+    def test_bad_data_is_cut(self, cut):
+        data = bad_exchange_data()
+        assert not check_relations(data).passed
+        invariant(data, Surface.connected(1, "+a,-b"), require_relations=False)
+        assert len(cut) == 1
+
+    def test_complex_data_is_cut(self, cut):
+        assert check_relations(ROTATED_COMPLEX).passed
+        invariant(ROTATED_COMPLEX, Surface.connected(1, "+a,-b"))
+        assert len(cut) == 1
+
+    def test_unchecked_data_is_cut_and_stays_unchecked(self, cut):
+        data = rotated_family([Fraction(1), Fraction(3)])
+        invariant(data, Surface.connected(1, "+a,-b"), require_relations=False)
+        assert len(cut) == 1
+        assert "relations" not in data._reports and "algebra" not in data._reports
+
+    def test_closed_surfaces_are_cut(self, cut):
+        assert check_relations(ROTATED).passed
+        closed_invariant(ROTATED, 2)
+        assert len(cut) == 1
 
 
 class TestInvariantOfDecomposition:
@@ -966,11 +1081,14 @@ class TestScale:
         g = 200
         assert closed_invariant(data, g) == 1 + Fraction(2) ** (2 - 2 * g)
 
-    def test_alternate_equals_chain_at_genus_200(self, monkeypatch):
-        surface = Surface.connected(200, "+a,-b")
-        chain = invariant(ROTATED, surface)
-        decompose_by(monkeypatch, "alternate")
-        assert invariant(ROTATED, surface) == chain
+    def test_alternate_equals_chain_at_genus_200(self):
+        boundary = circles("+a,-b")
+        chain, alternate = (
+            invariant_of_decomposition(ROTATED, decompose(200, 2, strategy, ["a", "b"]),
+                                       boundary)
+            for strategy in STRATEGIES)
+        assert alternate == chain
+        assert invariant(ROTATED, Surface.connected(200, boundary)) == chain  # the normal form
 
 
 class TestTensorMismatch:

@@ -288,12 +288,19 @@ class TestRelationCache:
         monkeypatch.setattr(tqft_module, "contract_between", counting)
         data = diagonal_family([2, Fraction(1, 3), -5])
         assert calls == []  # building the datum checks nothing
-        surface = Surface.connected(2, "+a,-b")  # pants only, no closed forms
+        # Closed, so pants only: no closed forms and no normal form.
+        surface = Surface.connected(2)
         first = invariant(data, surface)
         assert len(calls) == 4  # one relation check: q, c and the two absorptions
         assert invariant(data, surface).equals(first)
         assert invariant(data, Surface.connected(3)).rank == 0
         assert len(calls) == 4
+        # The first surface with a boundary builds the algebra: c and M.
+        bounded = invariant(data, Surface.connected(2, "+a,-b"))
+        assert len(calls) == 6
+        assert invariant(data, Surface.connected(1, "+a")).rank == 1
+        assert invariant(data, Surface.connected(2, "+a,-b")).equals(bounded)
+        assert len(calls) == 6
 
     @pytest.mark.parametrize("name", ["dimension", "d", "p", "backend", "_reports", "other"])
     def test_attributes_cannot_be_assigned(self, name):
