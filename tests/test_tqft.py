@@ -312,11 +312,12 @@ class TestRelationCache:
     def test_racing_threads_share_one_report(self):
         data = diagonal_family([Fraction(k + 2, k + 1) for k in range(5)])
         barrier = threading.Barrier(8)
-        reports = []
+        reports, algebras = [], []
 
         def check():
             barrier.wait(timeout=30)
             reports.append(check_relations(data))
+            algebras.append(tqft_module.frobenius_algebra(data))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -332,6 +333,8 @@ class TestRelationCache:
         assert len(reports) == 8
         assert all(report is reports[0] for report in reports)
         assert reports[0] == check_relations(fresh_copy(data)) and reports[0].passed
+        assert len(algebras) == 8
+        assert all(algebra is algebras[0] for algebra in algebras)
 
 
 class TestExactEntries:
