@@ -61,7 +61,7 @@ from .tensor import (
     quoted,
     scalars_equal,
 )
-from .tqft import TqftData, check_relations, frobenius_algebra
+from .tqft import TqftData, annulus_matrix, check_relations, handle_matrix
 
 # The shapes with no pants decomposition as networks of generator nodes, one
 # leg tuple per node (d has one leg, p three).  b1, b2 are the boundary
@@ -406,7 +406,8 @@ def invariant_of_decomposition(data: TqftData,
 def _normal_form(data: TqftData, genus: int,
                  boundary: Sequence[BoundaryCircle]) -> LabeledTensor:
     """The tensor of a connected surface with n >= 1 boundary circles, read
-    off the Frobenius algebra of data that pass the relations.
+    off the Frobenius algebra of data that pass the relations, through the
+    annulus c and the handle matrix M stored on the datum.
 
     With B = M^genus and L_a[i,j] = p[a,i,j], the tensor is B d for n = 1,
     c B for n = 2 and Z[i1..in] = (L_{i2} ... L_{i(n-1)} B)[i1,in] for
@@ -424,7 +425,6 @@ def _normal_form(data: TqftData, genus: int,
     """
     n, dim, backend = len(boundary), data.dimension, data.backend
     dense_size(dim, n)
-    algebra = frobenius_algebra(data)
     legs = (SignedIndex("x'", PLUS, dim), SignedIndex("y'", PLUS, dim),
             SignedIndex("z'", MINUS, dim))
 
@@ -434,8 +434,8 @@ def _normal_form(data: TqftData, genus: int,
         return contract_between(operand, right, [("z'", right.labels[0])]).entries
 
     rank = min(n, 3)
-    y = (data.d, algebra.c, data.p)[rank - 1].entries
-    power = algebra.handle
+    y = (data.d, annulus_matrix(data), data.p)[rank - 1].entries
+    power = handle_matrix(data)
     while genus:
         if genus & 1:
             y = times(y, rank, power)

@@ -16,9 +16,10 @@ property of the datum, so it is computed once per datum and stored on the
 immutable ``TqftData``.  When the relations hold, the annulus tensor
 c[i,j] = d[k] p[k,i,j] is an idempotent matrix fixing d, and the datum is a
 commutative Frobenius algebra (Abrams 1996; Kock 2003) whose multiplication
-by the basis element a is the slice L_a[i,j] = p[a,i,j];
-``frobenius_algebra`` builds, once per datum, the matrices ``functor``
-evaluates bounded surfaces with.
+by the basis element a is the slice L_a[i,j] = p[a,i,j].  ``functor``
+evaluates bounded surfaces with two matrices stored on the datum, each built
+once: ``annulus_matrix`` (c, which the relation check builds first) and
+``handle_matrix`` (M).
 
 Data file format (1-based indices, omitted entries are zero; the loader
 rejects p entries that are not symmetric as supplied)::
@@ -60,9 +61,6 @@ from .tensor import (
 )
 
 RELATION_NAMES = ("exchange", "symmetry", "disk_absorption", "cylinder_absorption")
-# p's two slot transpositions, as permute_indices axes; they generate all six
-# slot permutations.
-_TRANSPOSITIONS = ((1, 0, 2), (0, 2, 1))
 
 
 class TqftData:
@@ -75,7 +73,9 @@ class TqftData:
     * ``"symmetry"``: p's worst slot-swap gap, measured when the constructor
       checks that p is symmetric;
     * ``"relations"``: the RelationReport of check_relations, on first use;
-    * ``"algebra"``: the FrobeniusAlgebra of frobenius_algebra, on first use.
+    * ``"annulus"``: the matrix c of annulus_matrix, built by the relation
+      check (or on first use);
+    * ``"handle"``: the matrix M of handle_matrix, on first use.
     """
 
     __slots__ = ("dimension", "d", "p", "backend", "_reports")
@@ -94,10 +94,12 @@ class TqftData:
             (SignedIndex("i", PLUS, n), SignedIndex("j", PLUS, n),
              SignedIndex("k", PLUS, n)),
             p_entries, backend)
-        swaps = [p.permute_indices(perm).entries for perm in _TRANSPOSITIONS]
+        e = p.entries
         worst = abs(scalar_zero(backend))  # the symmetry relation's max_violation
-        for (i, j, k), base, a, b in zip(p.assignments(), p.entries, *swaps):
-            for gap in (abs(x - base) for x in (a, b) if x != base):  # else 0
+        for (i, j, k), base in zip(p.assignments(), e):
+            # p[j,i,k] and p[i,k,j]: the two slot transpositions generate all six
+            swaps = (e[(j * n + i) * n + k], e[(i * n + k) * n + j])
+            for gap in (abs(x - base) for x in swaps if x != base):  # else 0
                 if not scalars_equal(gap, 0, backend):
                     raise RelationError(
                         f"p is not symmetric at slot indices ({i + 1},{j + 1},{k + 1})")
@@ -187,9 +189,8 @@ def _relation_report(data: TqftData) -> RelationReport:
     # q[i,j,l,m] = p[i,j,k] p[k,l,m]; the exchange relation says q is
     # symmetric in its middle two slots.
     q = contract_between(p, p_low, [("k", "h")])
-    # c[l,m] = d[h] p[h,l,m] holds the entries of annulus_tensor; both
-    # absorption relations factor through it.
-    c = contract_between(d, p_low, [("i", "h")])
+    # Both absorption relations factor through the annulus c.
+    c = annulus_matrix(data)
     sides = {
         "exchange": (q, q.permute_indices((0, 2, 1, 3))),
         "disk_absorption": (contract_between(c, d.flip_signs(), [("m", "i")]), d),
@@ -210,30 +211,23 @@ def _relation_report(data: TqftData) -> RelationReport:
     return RelationReport(tuple(results))
 
 
-@dataclass(frozen=True)
-class FrobeniusAlgebra:
-    """A datum read as a commutative Frobenius algebra.  Its structure
-    constants are p's slices L_a[i,j] = p[a,i,j], read from the datum
-    itself; the identities the surfaces need (c L_a = L_a, c d = d,
-    L_a L_b = L_b L_a) hold only when the datum passes the relations.
-    The matrices c and M have indices (+l, +m), the vector tau (+i)."""
-
-    c: LabeledTensor       # c[i,j] = sum_a d[a] p[a,i,j]: the annulus
-    tau: LabeledTensor     # tau[a] = sum_h p[a,h,h]: the one-holed torus
-    handle: LabeledTensor  # M[i,j] = sum_a tau[a] p[a,i,j]: one more handle
+def annulus_matrix(data: TqftData) -> LabeledTensor:
+    """c[l,m] = d[h] p[h,l,m], the entries of annulus_tensor, indices (+l, +m);
+    one engine call, stored on the datum.  When the relations hold, c L_a =
+    L_a and c d = d for p's slices L_a[i,j] = p[a,i,j]."""
+    def annulus(data):
+        return contract_between(data.d, _p_low(data), [("i", "h")])
+    return _stored(data, "annulus", annulus)
 
 
-def frobenius_algebra(data: TqftData) -> FrobeniusAlgebra:
-    """The algebra of `data`, built on the first call (three engine calls of
-    at most dim**3 multiplications) and stored on the datum."""
-    return _stored(data, "algebra", _algebra)
-
-
-def _algebra(data: TqftData) -> FrobeniusAlgebra:
-    p_low = _p_low(data)
-    tau = contract_within(data.p.flip_signs(["k"]), [("j", "k")])
-    return FrobeniusAlgebra(contract_between(data.d, p_low, [("i", "h")]), tau,
-                            contract_between(tau, p_low, [("i", "h")]))
+def handle_matrix(data: TqftData) -> LabeledTensor:
+    """M[l,m] = tau[h] p[h,l,m] with tau[a] = p[a,h,h] (the one-holed torus):
+    gluing one more handle, indices (+l, +m).  Two engine calls, stored on
+    the datum."""
+    def handle(data):
+        tau = contract_within(data.p.flip_signs(["k"]), [("j", "k")])
+        return contract_between(tau, _p_low(data), [("i", "h")])
+    return _stored(data, "handle", handle)
 
 
 def hermitian_check(data: TqftData) -> bool:

@@ -30,16 +30,11 @@ from tqft2d import (
 )
 from tqft2d.functor import random_glue_spec, random_surface
 
+from good_data import good_data
+
 
 def report(number: int, passed: bool, description: str) -> None:
     print(f"criterion {number}: {'PASS' if passed else 'FAIL'} - {description}")
-
-
-def random_diagonal(rng, max_dim=4):
-    dim = rng.randint(1, max_dim)
-    return diagonal_family(
-        [Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice([1, -1])
-         for _ in range(dim)])
 
 
 def test_criterion_1_grid_search_matches_bruteforce():
@@ -68,12 +63,12 @@ def test_criterion_1_grid_search_matches_bruteforce():
 
 
 def test_criterion_2_table_reproduction():
-    """base_invariants matches an index-loop oracle on 50 seeded random
-    diagonal data of dimension <= 4, exactly."""
+    """base_invariants matches an index-loop oracle on 50 seeded good data
+    of dimension <= 4, degenerate and dense ones included, exactly."""
     rng = random.Random("criterion-2")
     checked = 0
     for _ in range(50):
-        data = random_diagonal(rng)
+        data = good_data(rng, 4)
         n = data.dimension
         table = base_invariants(data)
         zero = Fraction(0)

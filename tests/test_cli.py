@@ -392,9 +392,11 @@ PASS (g=2, n=3) chain vs rewrite 1
         # with no trials the functor and monoidal suites check nothing
         assert code == (0 if trials else 1)
         assert capsys.readouterr().out.count("suite ") == 3
-        # one relation check makes four contractions; surface tensors are
-        # contracted in the functor module, whose calls are not counted here
-        assert callers.count("_relation_report") == 4
+        # one relation check makes four contractions, one of them the
+        # annulus c; surface tensors are contracted in the functor module,
+        # whose calls are not counted here
+        assert callers.count("_relation_report") == 3
+        assert callers.count("annulus") == 1
         if not trials:
             assert len(callers) == 4
 
@@ -439,6 +441,20 @@ class TestClosedStdout:
              sys.executable, str(BENCH_DATA / "rot2.tqft")],
             capture_output=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)})
         assert done.returncode == 0 and done.stderr == b""
+
+
+class TestStandardLibraryOnly:
+    def test_importing_the_package_loads_only_the_standard_library(self):
+        # Only the modules the import adds count: the interpreter's start-up
+        # (site, .pth files) is not the package's doing.
+        code = ("import sys; before = set(sys.modules); import tqft2d, tqft2d.cli; "
+                "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before}))")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert done.returncode == 0, done.stderr
+        loaded = done.stdout.split()
+        assert "tqft2d" in loaded
+        assert [m for m in loaded if m not in sys.stdlib_module_names and m != "tqft2d"] == []
 
 
 class TestDeterminism:

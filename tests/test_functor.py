@@ -60,6 +60,8 @@ from tqft2d.functor import (
 from tqft2d.surface import LABEL_RE
 from tqft2d.tensor import MAX_GENUS
 
+from good_data import conjugated, good_data, identity, reflection, rotation
+
 D2 = diagonal_family([Fraction(1), Fraction(2)])
 D1_T2 = diagonal_family([Fraction(2)])
 STRATEGIES = ("chain", "alternate")
@@ -80,27 +82,7 @@ def decompose_by(monkeypatch, strategy):
                         lambda g, n, *, labels=None: decompose(g, n, strategy, labels))
 
 
-def rotated_family(t, cos=Fraction(3, 5), sin=Fraction(4, 5)):
-    """Diagonal family conjugated by a rational rotation.
-
-    The pairing is orthogonally invariant, so the result is a valid datum
-    with dense (non-diagonal) entries; its invariants equal the diagonal
-    family's.
-    """
-    assert cos * cos + sin * sin == 1
-    base = diagonal_family(t)
-    rot = [[cos, -sin], [sin, cos]]
-    n = 2
-    d = [sum(rot[i][a] * base.d_entry(a) for a in range(n)) for i in range(n)]
-    p = [Fraction(0)] * n ** 3
-    for i, j, k in itertools.product(range(n), repeat=3):
-        p[(i * n + j) * n + k] = sum(
-            rot[i][a] * rot[j][a] * rot[k][a] * base.p_entry(a, a, a)
-            for a in range(n))
-    return TqftData(d, p)
-
-
-ROTATED = rotated_family([Fraction(1), Fraction(2)])
+ROTATED = conjugated([1, 2], rotation(Fraction(3, 5), Fraction(4, 5)))
 ROTATED_COMPLEX = TqftData([complex(v) for v in ROTATED.d.entries],
                            [complex(v) for v in ROTATED.p.entries], COMPLEX)
 
@@ -385,7 +367,7 @@ class TestValidateOnce:
     def test_normal_form_neither_cuts_nor_validates(self, monkeypatch):
         surface = Surface.connected(2, "+a,-b,+c")
         check_relations(ROTATED)
-        expected = invariant(ROTATED, surface)  # also stores the algebra
+        expected = invariant(ROTATED, surface)  # also stores the handle matrix
         validated, built = self.counted(monkeypatch)
         assert invariant(ROTATED, surface) == expected
         assert validated == []
@@ -612,21 +594,9 @@ class TestInvariant:
         assert b == a.flip_signs()
 
 
-def householder_family(t, v):
-    """The diagonal family rotated by the rational Householder reflection
-    Q = I - 2 v v^T / (v^T v): a valid datum whose entries are all dense."""
-    n = len(t)
-    norm = sum(Fraction(x) * x for x in v)
-    q = [[int(i == a) - 2 * Fraction(v[i] * v[a]) / norm for a in range(n)]
-         for i in range(n)]
-    d = [sum(q[i][a] * t[a] for a in range(n)) for i in range(n)]
-    p = [sum(q[i][a] * q[j][a] * q[k][a] / t[a] for a in range(n))
-         for i, j, k in itertools.product(range(n), repeat=3)]
-    return TqftData(d, p)
-
-
-HOUSEHOLDER4 = householder_family([Fraction(1), Fraction(2), Fraction(-1, 3), Fraction(5)],
-                                  [1, 2, -1, 3])
+HOUSEHOLDER4 = conjugated([1, 2, Fraction(-1, 3), 5], reflection([1, 2, -1, 3]))
+# Seeded good data of dim 1..5, degenerate and dense ones among them.
+GOOD = [good_data(random.Random(f"good data {k}")) for k in range(12)]
 
 
 def chain_invariant(data, genus, boundary):
@@ -651,8 +621,8 @@ class TestNormalForm:
         diagonal_family([Fraction(-2)]), D2,
         diagonal_family([Fraction(2), Fraction(-1, 3), Fraction(5)]),
         diagonal_family([Fraction(1), Fraction(2), Fraction(3, 2), Fraction(-7)]),
-        ROTATED, HOUSEHOLDER4], ids=["diag1", "diag2", "diag3", "diag4", "rotated",
-                                     "householder4"])
+        ROTATED, HOUSEHOLDER4, *GOOD], ids=["diag1", "diag2", "diag3", "diag4", "rotated",
+                                            "householder4", *(f"good{k}" for k in range(12))])
     def test_equals_the_chain_network(self, monkeypatch, data):
         assert check_relations(data).passed
         taken = []
@@ -660,15 +630,25 @@ class TestNormalForm:
         monkeypatch.setattr(functor, "_normal_form",
                             lambda *args: taken.append(args) or normal_form(*args))
         rng = random.Random(f"normal form {data.dimension}")
+        # at most 4**6 entries, so dim 5 stops at 5 circles
+        counts = [n for n in range(1, 7) if data.dimension ** n <= 4 ** 6]
         for genus in range(4):
-            for count in range(1, 7):
+            for count in counts:
                 boundary = tuple(BoundaryCircle(f"b{k}", rng.choice((PLUS, MINUS)))
                                  for k in rng.sample(range(10), count))
                 got = invariant(data, Surface.connected(genus, boundary))
                 expected = chain_invariant(data, genus, boundary)
                 assert got.indices == expected.indices, (genus, count)
                 assert got.entries == expected.entries, (genus, count)
-        assert len(taken) == 4 * 6
+        assert len(taken) == 4 * len(counts)
+
+    def test_good_data_include_degenerate_and_dense_data(self):
+        degenerate = [list(annulus_tensor(data).entries)
+                      != list(itertools.chain(*identity(data.dimension))) for data in GOOD]
+        dense = [any(v for v, ijk in zip(data.p.entries, data.p.assignments())
+                     if len(set(ijk)) > 1) for data in GOOD]
+        assert 0 < sum(degenerate) < len(GOOD) and 0 < sum(dense) < len(GOOD)
+        assert any(x and y for x, y in zip(degenerate, dense))
 
     def test_equal_entries_share_one_object(self):
         tensor = invariant(HOUSEHOLDER4, Surface.connected(1, "+a,+b,+c,+d"))
@@ -704,10 +684,10 @@ class TestNormalForm:
         assert len(cut) == 1
 
     def test_unchecked_data_is_cut_and_stays_unchecked(self, cut):
-        data = rotated_family([Fraction(1), Fraction(3)])
+        data = conjugated([1, 3], rotation(Fraction(3, 5), Fraction(4, 5)))
         invariant(data, Surface.connected(1, "+a,-b"), require_relations=False)
         assert len(cut) == 1
-        assert "relations" not in data._reports and "algebra" not in data._reports
+        assert set(data._reports) == {"symmetry"}
 
     def test_closed_surfaces_are_cut(self, cut):
         assert check_relations(ROTATED).passed

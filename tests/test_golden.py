@@ -6,7 +6,7 @@ tests/make_golden.py for the corpus and the rule for rewriting it.
 
 import json
 
-from make_golden import GOLDEN, ROOT, run, write_inputs
+from make_golden import GOLDEN, ROOT, corpus, run, write_inputs
 
 
 def test_cli_output_matches_the_golden_corpus(tmp_path, monkeypatch):
@@ -16,3 +16,11 @@ def test_cli_output_matches_the_golden_corpus(tmp_path, monkeypatch):
     differ = [" ".join(row["argv"]) for row in golden["rows"]
               if run(row["argv"], str(tmp_path)) != row]
     assert not differ, f"{len(differ)} of {len(golden['rows'])} rows differ: {differ}"
+
+
+def test_corpus_is_the_one_the_golden_file_was_written_from():
+    # An edit to make_golden.corpus() that never rewrote golden.json shows here.
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    inputs, argvs = corpus()
+    assert inputs == golden["inputs"]
+    assert argvs == [row["argv"] for row in golden["rows"]]

@@ -34,6 +34,8 @@ import tqft2d.tqft as tqft_module
 from tqft2d.tensor import MAX_ENTRIES, SCALAR_SHOWN, contract_between, contract_within
 from tqft2d.tqft import RELATION_NAMES
 
+from good_data import conjugated, good_data, nonzero_values, random_rotation
+
 
 def symmetric_p(n, assignments):
     """Dense p entries from {(i,j,k): value} closed under slot permutations."""
@@ -42,13 +44,6 @@ def symmetric_p(n, assignments):
         for a, b, c in set(itertools.permutations((i, j, k))):
             entries[(a * n + b) * n + c] = Fraction(value)
     return entries
-
-
-def random_diagonal(rng, max_dim=4):
-    dim = rng.randint(1, max_dim)
-    values = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice([1, -1])
-              for _ in range(dim)]
-    return diagonal_family(values)
 
 
 class TestTqftData:
@@ -260,6 +255,9 @@ class TestRelationCache:
         yield TqftData([complex(1 + 1e-12)], [complex(1)], COMPLEX)  # 1e-12 violation
         yield TqftData([Fraction(1)], [Fraction(2)])
         yield TqftData([complex(math.nan)], [complex(1)], COMPLEX)
+        rng = random.Random("cache-good")
+        for _ in range(10):
+            yield good_data(rng)
 
     @pytest.mark.parametrize("order", [1, -1], ids=["ascending", "descending"])
     def test_cached_report_matches_a_fresh_check(self, order):
@@ -295,12 +293,14 @@ class TestRelationCache:
         assert invariant(data, surface).equals(first)
         assert invariant(data, Surface.connected(3)).rank == 0
         assert len(calls) == 4
-        # The first surface with a boundary builds the algebra: c and M.
+        # The relation check stored c; the first surface with a boundary
+        # adds only M.
+        assert set(data._reports) == {"symmetry", "relations", "annulus"}
         bounded = invariant(data, Surface.connected(2, "+a,-b"))
-        assert len(calls) == 6
+        assert len(calls) == 5
         assert invariant(data, Surface.connected(1, "+a")).rank == 1
         assert invariant(data, Surface.connected(2, "+a,-b")).equals(bounded)
-        assert len(calls) == 6
+        assert len(calls) == 5
 
     @pytest.mark.parametrize("name", ["dimension", "d", "p", "backend", "_reports", "other"])
     def test_attributes_cannot_be_assigned(self, name):
@@ -312,12 +312,13 @@ class TestRelationCache:
     def test_racing_threads_share_one_report(self):
         data = diagonal_family([Fraction(k + 2, k + 1) for k in range(5)])
         barrier = threading.Barrier(8)
-        reports, algebras = [], []
+        reports, matrices = [], []
 
         def check():
             barrier.wait(timeout=30)
             reports.append(check_relations(data))
-            algebras.append(tqft_module.frobenius_algebra(data))
+            matrices.append((tqft_module.annulus_matrix(data),
+                             tqft_module.handle_matrix(data)))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -333,8 +334,10 @@ class TestRelationCache:
         assert len(reports) == 8
         assert all(report is reports[0] for report in reports)
         assert reports[0] == check_relations(fresh_copy(data)) and reports[0].passed
-        assert len(algebras) == 8
-        assert all(algebra is algebras[0] for algebra in algebras)
+        assert len(matrices) == 8
+        assert all(c is matrices[0][0] and m is matrices[0][1] for c, m in matrices)
+        assert matrices[0][0] is data._reports["annulus"]
+        assert matrices[0][1] is data._reports["handle"]
 
 
 class TestExactEntries:
@@ -381,7 +384,7 @@ class TestAnnulus:
     def test_idempotent_when_relations_hold(self):
         rng = random.Random(5)
         for _ in range(10):
-            data = random_diagonal(rng)
+            data = good_data(rng)
             c = annulus_tensor(data)
             values = dict(zip(c.assignments(), c.entries))
             n = data.dimension
@@ -394,7 +397,7 @@ class TestAnnulus:
     def test_matrix_applied_to_d_returns_d(self):
         rng = random.Random(6)
         for _ in range(10):
-            data = random_diagonal(rng)
+            data = good_data(rng)
             c = annulus_tensor(data)
             values = dict(zip(c.assignments(), c.entries))
             n = data.dimension
@@ -441,7 +444,7 @@ class TestBaseInvariants:
     def test_matches_index_loop_oracle(self):
         rng = random.Random(7)
         for _ in range(20):
-            data = random_diagonal(rng)
+            data = good_data(rng)
             table = base_invariants(data)
             sphere, disk, annulus, torus = oracle_table(data)
             assert table["sphere"].entries == (sphere,)
@@ -451,20 +454,6 @@ class TestBaseInvariants:
             assert table["empty"].entries == (1,)
 
 
-def rotated_data(rng):
-    """A seeded dim-2 diagonal family conjugated by a rational rotation:
-    data that pass the relations, with dense (non-diagonal) entries."""
-    a, b, c = rng.choice([(3, 4, 5), (5, 12, 13), (8, 15, 17)])
-    rot = [[Fraction(a, c), Fraction(-b, c)], [Fraction(b, c), Fraction(a, c)]]
-    t = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice([1, -1])
-         for _ in range(2)]
-    span = range(2)
-    d = [sum(rot[i][m] * t[m] for m in span) for i in span]
-    p = [sum(rot[i][m] * rot[j][m] * rot[k][m] / t[m] for m in span)
-         for i, j, k in itertools.product(span, repeat=3)]
-    return TqftData(d, p)
-
-
 class TestExceptionalShapesMatchTheOracle:
     """invariant on the shapes with no pants decomposition (generator
     networks) against the index-loop oracle_table."""
@@ -472,7 +461,7 @@ class TestExceptionalShapesMatchTheOracle:
     def cases(self):
         rng = random.Random("exceptional-shapes")
         for _ in range(8):
-            data = rotated_data(rng)
+            data = conjugated(nonzero_values(rng, 2), random_rotation(rng, 2))
             assert check_relations(data).passed and all(data.p.entries)
             yield data
         failing = 0
@@ -483,7 +472,7 @@ class TestExceptionalShapesMatchTheOracle:
                 yield data
         for _ in range(8):
             yield seeded_symmetric_data(rng, COMPLEX)
-        rotated = rotated_data(rng)
+        rotated = conjugated(nonzero_values(rng, 2), random_rotation(rng, 2))
         yield TqftData([complex(v) for v in rotated.d.entries],
                        [complex(v) for v in rotated.p.entries], COMPLEX)
 
@@ -557,7 +546,7 @@ class TestHermitian:
     def test_diagonal_family_of_reals_is_hermitian(self):
         rng = random.Random(8)
         for _ in range(20):
-            assert hermitian_check(random_diagonal(rng))
+            assert hermitian_check(diagonal_family(nonzero_values(rng, rng.randint(1, 4))))
         assert hermitian_check(diagonal_family([1.5, 2.0]))
 
 
@@ -585,7 +574,8 @@ class TestDiagonalFamily:
     def test_many_random_vectors_pass_relations(self):
         rng = random.Random(9)
         for _ in range(1000):
-            assert check_relations(random_diagonal(rng)).passed
+            data = diagonal_family(nonzero_values(rng, rng.randint(1, 4)))
+            assert check_relations(data).passed
 
 
 def brute_force_dim1_solutions(height):
