@@ -415,13 +415,13 @@ def _normal_form(data: TqftData, genus: int,
     by the trusted constructor.  B is applied by repeated squaring to the
     first factor Y (d, c or p), so no identity is built at genus 0.
 
-    An entry depends only on the multiset of its indices, so only the
-    non-decreasing index tuples are walked.  The first two indices of a
-    tuple select a block of Y; from then on each prefix owns one row, and
-    that row times p is one engine call giving the rows of every next index.
-    The dense output is filled through an additive multiset key, the count
-    of each value v as digit v in base n + 1, so equal entries share one
-    scalar object.
+    An entry depends only on the multiset of its indices, so the walk keeps
+    one block per prefix multiset, keyed additively: the count of each value
+    v is digit v in base n + 1.  The first two indices select a block of Y;
+    from then on each prefix owns one row, and that row times p is one
+    engine call giving the rows of every next index.  Equal entries share
+    one scalar object, and the dense output is the (n-1)-prefix rows in
+    row-major order.
     """
     n, dim, backend = len(boundary), data.dimension, data.backend
     dense_size(dim, n)
@@ -444,24 +444,23 @@ def _normal_form(data: TqftData, genus: int,
             power = LabeledTensor._of(power.indices, times(power.entries, 2, power), backend)
 
     weights = [(n + 1) ** v for v in range(dim)]
-    blocks = [(0, 0, y)]  # (key of the prefix, its last index, its block)
+    keys, blocks = [0], {0: y}  # the prefixes in row-major order; their blocks
     for depth in range(n - 1):
-        grown = []
-        for key, last, block in blocks:
+        keys = [key + w for key in keys for w in weights]
+        grown = {}
+        for key, block in blocks.items():
             if depth >= 2:  # a row past Y's blocks; a zero row stays zero
                 block = times(block, 1, data.p) if any(block) else block * dim
             step = len(block) // dim
-            grown += [(key + weights[v], v, block[v * step:(v + 1) * step])
-                      for v in range(last, dim)]
+            for v, w in enumerate(weights):
+                grown.setdefault(key + w, block[v * step:(v + 1) * step])
         blocks = grown
-    value = {key + weights[v]: block[v]
-             for key, last, block in blocks for v in range(last, dim)}
-    keys = [0]
-    for _ in range(n - 1):
-        keys = [base + w for base in keys for w in weights]
+    value = {}
+    rows = {key: tuple([value.setdefault(key + w, x) for w, x in zip(weights, row)])
+            for key, row in blocks.items()}
     return LabeledTensor._of(
         tuple(SignedIndex(c.label, c.orientation, dim) for c in boundary),
-        tuple([value[base + w] for base in keys for w in weights]), backend)
+        tuple(itertools.chain.from_iterable(map(rows.__getitem__, keys))), backend)
 
 
 def _component_invariant(data: TqftData, component: ConnectedSurface) -> LabeledTensor:

@@ -264,8 +264,9 @@ def grid_search_dim1(height: int) -> list[TqftData]:
     """Exhaustive dimension-1 search over rational pairs (d, p) with
     |numerator| <= height and denominator <= height (in lowest terms).
 
-    Returns exactly the pairs passing check_relations: the zero solution
-    (0, 0) plus every (t, 1/t) representable on the grid.
+    Returns exactly the pairs passing check_relations, in increasing (d, p)
+    order: the zero solution (0, 0) plus every (t, 1/t) representable on the
+    grid.
     """
     if not 1 <= height <= 6:
         raise ValueError(f"height must be in 1..6, got {height}")
@@ -278,7 +279,6 @@ def grid_search_dim1(height: int) -> list[TqftData]:
             data = TqftData((d1,), (p111,), RATIONAL)
             if check_relations(data).passed:
                 found.append(data)
-    found.sort(key=lambda data: (data.d_entry(0), data.p_entry(0, 0, 0)))
     return found
 
 

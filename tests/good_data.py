@@ -14,7 +14,10 @@ annulus c is a projector other than the identity.
 """
 
 import itertools
+import random
 from fractions import Fraction
+
+from hypothesis import strategies as st
 
 from tqft2d import TqftData
 
@@ -85,3 +88,10 @@ def good_data(rng, max_dim=5):
         r = reflection(v)
         q = [[sum(q[i][k] * r[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
     return conjugated(t, q)
+
+
+def good_data_by_seed(max_dim=4):
+    """A hypothesis strategy: `good_data` of dimension at most `max_dim`,
+    drawn by seed."""
+    return st.integers(0, 2 ** 32 - 1).map(
+        lambda seed: good_data(random.Random(seed), max_dim))

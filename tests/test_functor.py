@@ -60,7 +60,8 @@ from tqft2d.functor import (
 from tqft2d.surface import LABEL_RE
 from tqft2d.tensor import MAX_GENUS
 
-from good_data import conjugated, good_data, identity, reflection, rotation
+from good_data import (conjugated, good_data, good_data_by_seed, identity, reflection,
+                       rotation)
 
 D2 = diagonal_family([Fraction(1), Fraction(2)])
 D1_T2 = diagonal_family([Fraction(2)])
@@ -599,6 +600,14 @@ HOUSEHOLDER4 = conjugated([1, 2, Fraction(-1, 3), 5], reflection([1, 2, -1, 3]))
 GOOD = [good_data(random.Random(f"good data {k}")) for k in range(12)]
 
 
+def assert_shared_per_multiset(tensor):
+    """Entries whose indices form the same multiset are one object."""
+    ids = {}
+    for assignment, value in zip(tensor.assignments(), tensor.entries):
+        ids.setdefault(tuple(sorted(assignment)), set()).add(id(value))
+    assert all(len(group) == 1 for group in ids.values())
+
+
 def chain_invariant(data, genus, boundary):
     """The pants network of the chain, or of the fixed network of a shape
     without one: the oracle of the normal form."""
@@ -640,7 +649,47 @@ class TestNormalForm:
                 expected = chain_invariant(data, genus, boundary)
                 assert got.indices == expected.indices, (genus, count)
                 assert got.entries == expected.entries, (genus, count)
+                assert_shared_per_multiset(got)
         assert len(taken) == 4 * len(counts)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(good_data_by_seed(max_dim=4), st.integers(0, 2),
+           st.lists(st.sampled_from((PLUS, MINUS)), min_size=1, max_size=5))
+    def test_equals_the_chain_network_on_drawn_data(self, data, genus, signs):
+        assert check_relations(data).passed
+        boundary = tuple(BoundaryCircle(f"b{k}", sign) for k, sign in enumerate(signs))
+        got = functor._normal_form(data, genus, boundary)
+        expected = chain_invariant(data, genus, boundary)
+        assert got.indices == expected.indices
+        assert got.entries == expected.entries
+        assert_shared_per_multiset(got)
+
+    # functor.contract_between calls for genus 0..2 (rows) and 1..7 circles
+    # (columns): one per nonzero row of a distinct index multiset of 2..n-2
+    # indices, plus the squarings of the handle matrix.
+    @pytest.mark.parametrize("data, calls", [
+        (diagonal_family([1, 2, 3, 4]), [[0, 0, 0, 4, 8, 12, 16],
+                                         [1, 1, 1, 5, 9, 13, 17],
+                                         [2, 2, 2, 6, 10, 14, 18]]),
+        (HOUSEHOLDER4, [[0, 0, 0, 10, 30, 65, 121],
+                        [1, 1, 1, 11, 31, 66, 122],
+                        [2, 2, 2, 12, 32, 67, 123]]),
+    ], ids=["diag4", "householder4"])
+    def test_engine_calls(self, monkeypatch, data, calls):
+        assert check_relations(data).passed
+        made = []
+        contract_between = functor.contract_between
+        monkeypatch.setattr(functor, "contract_between",
+                            lambda *args: made.append(args) or contract_between(*args))
+        counted = []
+        for genus in range(3):
+            counted.append([])
+            for count in range(1, 8):
+                made.clear()
+                surface = Surface.connected(genus, ",".join(f"+b{k}" for k in range(count)))
+                assert_shared_per_multiset(invariant(data, surface))
+                counted[-1].append(len(made))
+        assert counted == calls
 
     def test_good_data_include_degenerate_and_dense_data(self):
         degenerate = [list(annulus_tensor(data).entries)
