@@ -666,7 +666,7 @@ class TestNormalForm:
 
     # functor.contract_between calls for genus 0..2 (rows) and 1..7 circles
     # (columns): one per nonzero row of a distinct index multiset of 2..n-2
-    # indices, plus the squarings of the handle matrix.
+    # indices, plus the products that apply M^genus by repeated squaring.
     @pytest.mark.parametrize("data, calls", [
         (diagonal_family([1, 2, 3, 4]), [[0, 0, 0, 4, 8, 12, 16],
                                          [1, 1, 1, 5, 9, 13, 17],
