@@ -64,9 +64,17 @@ def _parse_pairs(text: str) -> GlueSpec:
     return GlueSpec(tuple(pairs))
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise ParseError, so that `main` prints
+    them as one line cut like any other message; subparsers inherit it."""
+
+    def error(self, message: str):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tqft2d",
         description="Tensor calculus for oriented surfaces: gluing is index "
                     "contraction, checked against the classification relations.")

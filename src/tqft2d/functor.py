@@ -330,53 +330,48 @@ def _contract_network(tensors: list[LabeledTensor],
     network, as `_pants_network` builds from an EXCEPTIONAL shape or a
     decomposition that passes `PantsDecomposition.validate`.
 
-    Groups are found once from a label-to-tensor map, kept in a heap keyed
-    by (rank, first pair) and, after a step, re-keyed only where they touch
-    the merged tensors, so planning costs O((P + pairs) log P) for P
-    tensors.
+    One adjacency map holds the groups: `near[t][u]` is the sorted list of
+    indices of the pairs joining tensors t and u, one list reached from
+    both ends, and `near[t][t]` is t's self-gluing group.  When tb merges
+    into ta, tb's lists are filed again under ta, merged with any list ta
+    already holds.  Ranks are kept as ints.  Groups sit in a heap keyed by
+    (result rank, first pair) and are re-keyed only where they touch the
+    merged tensor, so planning costs O((P + pairs) log P) for P tensors.
     """
     live = dict(enumerate(tensors))
-    owner: dict[str, int] = {}
-    for k, tensor in enumerate(tensors):
-        for label in tensor.labels:
-            owner.setdefault(label, k)
-    groups: dict[tuple[int, int], list[int]] = {}
-    touching: dict[int, set[tuple[int, int]]] = {k: set() for k in live}
+    ranks = [tensor.rank for tensor in tensors]
+    owner = {label: k for k, tensor in enumerate(tensors) for label in tensor.labels}
+    near: list[dict[int, list[int]]] = [{} for _ in tensors]
     for index, pair in enumerate(pairs):
         ta, tb = sorted(owner[label] for label in pair)
-        groups.setdefault((ta, tb), []).append(index)
-        touching[ta].add((ta, tb))
-        touching[tb].add((ta, tb))
+        near[tb][ta] = near[ta].setdefault(tb, [])
+        near[ta][tb].append(index)
 
-    def entry(key: tuple[int, int]) -> tuple[int, int, tuple[int, int]]:
-        ta, tb = key
-        rank = live[ta].rank + (live[tb].rank if ta != tb else 0)
-        return rank - 2 * len(groups[key]), groups[key][0], key
+    def entry(ta: int, tb: int) -> tuple[int, int, int, int]:
+        group = near[ta][tb]
+        return ranks[ta] + (ranks[tb] if ta != tb else 0) - 2 * len(group), group[0], ta, tb
 
-    heap = [entry(key) for key in groups]
+    heap = [entry(ta, tb) for ta, row in enumerate(near) for tb in row if ta <= tb]
     heapq.heapify(heap)
-    while groups:
+    while heap:
         top = heapq.heappop(heap)
-        key = top[2]
-        if key not in groups or entry(key) != top:
+        rank, _, ta, tb = top
+        if tb not in near[ta] or entry(ta, tb) != top:
             continue  # stale: the group was merged or its rank changed
-        ta, tb = key
-        grouped = [pairs[index] for index in groups.pop(key)]
-        touching[ta].discard(key)
+        grouped = [pairs[index] for index in near[ta].pop(tb)]
         if ta == tb:
             live[ta] = contract_within(live[ta], grouped)
         else:
             live[ta] = contract_between(live[ta], live.pop(tb), grouped)
-            for old in touching.pop(tb) - {key}:
-                other = old[0] if old[1] == tb else old[1]
+            moved, near[tb] = near[tb], {}
+            del moved[ta]
+            for other, group in moved.items():
+                near[other].pop(tb, None)
                 other = ta if other == tb else other
-                touching[other].discard(old)
-                new = (min(ta, other), max(ta, other))
-                groups[new] = sorted(groups.get(new, []) + groups.pop(old))
-                touching[ta].add(new)
-                touching[other].add(new)
-        for near in touching[ta]:
-            heapq.heappush(heap, entry(near))
+                near[ta][other] = near[other][ta] = sorted(near[ta].get(other, []) + group)
+        ranks[ta] = rank
+        for other in near[ta]:
+            heapq.heappush(heap, entry(min(ta, other), max(ta, other)))
     (result,) = live.values()
     return result
 

@@ -295,6 +295,27 @@ class TestInputBudgets:
                                 "out of range 1..1\n")
 
 
+class TestUsageErrors:
+    """argparse's own errors end like any other parse error: exit 2 and one
+    `parse error:` line cut to MESSAGE_SHOWN."""
+
+    @pytest.mark.parametrize("argv,reason", [
+        (["closed", str(BENCH_DATA / "rot2.tqft"), "--genus", "9" * 20_000],
+         "parse error: tqft2d closed: argument --genus: "),
+        (["verify", str(BENCH_DATA / "rot2.tqft"), "--suite", "x" * 20_000],
+         "parse error: tqft2d verify: argument --suite: "),
+        (["closed", str(BENCH_DATA / "rot2.tqft")],
+         "parse error: tqft2d closed: the following arguments are required: --genus"),
+    ], ids=["long-genus", "long-suite", "missing-genus"])
+    def test_is_one_bounded_parse_error_line(self, capsys, argv, reason):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(reason)
+        assert captured.err.count("\n") == 1
+        assert len(captured.err) <= MESSAGE_SHOWN + 100
+
+
 class TestVerify:
     def test_all_suites_pass(self, write, capsys):
         data = diagonal_family([Fraction(1), Fraction(2)])

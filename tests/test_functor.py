@@ -1084,7 +1084,10 @@ class TestPlanner:
     @pytest.mark.parametrize("data", [ROTATED, ROTATED_COMPLEX],
                              ids=["rational", "complex"])
     def test_same_plan_as_the_scan_planner(self, monkeypatch, data):
-        for decomposition in decompositions_up_to(5, 5):
+        closed = [pants_decomposition(g, 0) for g in (8, 24)]  # closed-genus sizes
+        closed += [random_rewrite(chain, random.Random(f"plan:closed:{k}"), moves=7)
+                   for k, chain in enumerate(closed)]
+        for decomposition in itertools.chain(decompositions_up_to(5, 5), closed):
             tensors, pairs = _pants_network(
                 data, [node.legs for node in decomposition.pants])
             expected_calls, expected = self.recorded(
