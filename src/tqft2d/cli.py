@@ -65,9 +65,7 @@ def _parse_pairs(text: str) -> GlueSpec:
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser whose usage errors raise ParseError, so that `main` prints
-    them as one line cut like any other message; subparsers inherit it."""
-
+    """Usage errors raise ParseError, printed and cut like any other; subparsers inherit it."""
     def error(self, message: str):
         raise ParseError(f"{self.prog}: {message}")
 

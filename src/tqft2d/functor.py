@@ -330,13 +330,11 @@ def _contract_network(tensors: list[LabeledTensor],
     network, as `_pants_network` builds from an EXCEPTIONAL shape or a
     decomposition that passes `PantsDecomposition.validate`.
 
-    One adjacency map holds the groups: `near[t][u]` is the sorted list of
-    indices of the pairs joining tensors t and u, one list reached from
-    both ends, and `near[t][t]` is t's self-gluing group.  When tb merges
-    into ta, tb's lists are filed again under ta, merged with any list ta
-    already holds.  Ranks are kept as ints.  Groups sit in a heap keyed by
-    (result rank, first pair) and are re-keyed only where they touch the
-    merged tensor, so planning costs O((P + pairs) log P) for P tensors.
+    One adjacency map holds the groups: `near[t][u]`, reached from both
+    ends, lists the pairs joining tensors t and u in order; `near[t][t]` is
+    t's self-gluing.  A merged tensor's lists are filed again under the one
+    it joins.  A heap keyed by (rank, first pair) is re-keyed only where
+    groups touch the merged tensor: O((P + pairs) log P) for P tensors.
     """
     live = dict(enumerate(tensors))
     ranks = [tensor.rank for tensor in tensors]
