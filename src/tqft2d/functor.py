@@ -7,8 +7,8 @@ away via the Kronecker pairing, and one index per boundary circle survives,
 carrying that circle's label and orientation sign.  The sphere, disk,
 annulus and torus have no pants decomposition; each is a fixed network of
 d and p nodes instead.  Components multiply via the tensor product.
-The contraction planner is greedy (smallest intermediate rank first) and
-plans a network of P pants in O(P log P).
+Handles are traced as their nodes are built; then a greedy planner joins
+two tensors per step, smallest result rank first: O(P log P) for P pants.
 
 A component with at least one boundary circle, on rational data whose
 stored relation report passed, is not cut at all: such data are a
@@ -130,9 +130,9 @@ class PantsDecomposition:
                 violations.append(f"bad label {quoted(label)}")
         for kind, labels, wanted in (("external", self.external, 1),
                                      ("internal", self.internal, 2)):
-            for label in labels:
-                if (count := len(owners.get(label, ()))) != wanted:
-                    violations.append(f"{kind} label {label} occurs {count} times")
+            violations += sorted(  # sets iterate in hash-seed order
+                f"{kind} label {label} occurs {count} times"
+                for label in labels if (count := len(owners.get(label, ()))) != wanted)
         for label in owners:
             if label not in self.external and label not in self.internal:
                 violations.append(f"unclassified label {label}")
@@ -289,12 +289,13 @@ def random_rewrite(decomposition: PantsDecomposition, rng: random.Random,
 
 def _pants_network(data: TqftData, nodes: Iterable[Sequence[str]]
                    ) -> tuple[list[LabeledTensor], list[tuple[str, str]]]:
-    """Node tensors plus the contraction pairs for the internal circles.
+    """Node tensors plus the contraction pairs joining two of them.
 
     Each node is a tuple of leg labels: a one-legged node gets the entries
     of d and a three-legged node those of p.  A label seen before is, in a
     valid network, an internal circle's second leg: it gets an apostrophe
-    and the opposite sign, so each pair is a legal +/- contraction.
+    and the opposite sign, so each pair is a legal +/- contraction.  A node
+    with both legs of a circle (a handle) is traced as it is built.
     """
     n = data.dimension
     generator = {1: data.d.entries, 3: data.p.entries}
@@ -303,14 +304,16 @@ def _pants_network(data: TqftData, nodes: Iterable[Sequence[str]]
     pairs = []
     for legs in nodes:
         indices = []
+        own = []
         for leg in legs:
             if leg in seen:
                 indices.append(SignedIndex(leg + "'", MINUS, n))
-                pairs.append((leg, leg + "'"))
+                (own if legs.count(leg) == 2 else pairs).append((leg, leg + "'"))
             else:
                 seen.add(leg)
                 indices.append(SignedIndex(leg, PLUS, n))
-        tensors.append(LabeledTensor._of(tuple(indices), generator[len(legs)], data.backend))
+        tensor = LabeledTensor._of(tuple(indices), generator[len(legs)], data.backend)
+        tensors.append(contract_within(tensor, own) if own else tensor)
     return tensors, pairs
 
 
@@ -319,22 +322,22 @@ def _contract_network(tensors: list[LabeledTensor],
     """Contract all pairs, smallest intermediate rank first.
 
     Any order gives the same result; the greedy choice only bounds the size
-    of intermediate tensors.  Pairs living on the same one or two tensors
-    form a group and are contracted together, in input order, in one fused
-    step.  Each step takes the group whose result has the smallest rank;
-    a tie goes to the group whose first pair comes earliest in `pairs`.
-    The lower-numbered tensor is the left operand and the merged tensor
-    takes its number, so one tensor, the result, is left at the end.
+    of intermediate tensors.  Pairs joining the same two tensors form a
+    group and are contracted together, in input order, in one fused step.
+    Each step takes the group whose result has the smallest rank; a tie
+    goes to the group whose first pair comes earliest in `pairs`.  The
+    lower-numbered tensor is the left operand and the merged tensor takes
+    its number, so one tensor, the result, is left at the end.
 
-    Precondition: the pairs join labels of `tensors` into one connected
-    network, as `_pants_network` builds from an EXCEPTIONAL shape or a
-    decomposition that passes `PantsDecomposition.validate`.
+    Precondition: every pair joins labels of two different tensors, and the
+    pairs join `tensors` into one connected network, as `_pants_network`
+    builds from an EXCEPTIONAL shape or a valid decomposition.
 
     One adjacency map holds the groups: `near[t][u]`, reached from both
-    ends, lists the pairs joining tensors t and u in order; `near[t][t]` is
-    t's self-gluing.  A merged tensor's lists are filed again under the one
-    it joins.  A heap keyed by (rank, first pair) is re-keyed only where
-    groups touch the merged tensor: O((P + pairs) log P) for P tensors.
+    ends, lists the pairs joining tensors t and u in order.  A merged
+    tensor's lists are filed again under the one it joins.  A heap keyed by
+    (rank, first pair) is re-keyed only where groups touch the merged
+    tensor: O((P + pairs) log P) for P tensors.
     """
     live = dict(enumerate(tensors))
     ranks = [tensor.rank for tensor in tensors]
@@ -347,9 +350,9 @@ def _contract_network(tensors: list[LabeledTensor],
 
     def entry(ta: int, tb: int) -> tuple[int, int, int, int]:
         group = near[ta][tb]
-        return ranks[ta] + (ranks[tb] if ta != tb else 0) - 2 * len(group), group[0], ta, tb
+        return ranks[ta] + ranks[tb] - 2 * len(group), group[0], ta, tb
 
-    heap = [entry(ta, tb) for ta, row in enumerate(near) for tb in row if ta <= tb]
+    heap = [entry(ta, tb) for ta, row in enumerate(near) for tb in row if ta < tb]
     heapq.heapify(heap)
     while heap:
         top = heapq.heappop(heap)
@@ -357,16 +360,12 @@ def _contract_network(tensors: list[LabeledTensor],
         if tb not in near[ta] or entry(ta, tb) != top:
             continue  # stale: the group was merged or its rank changed
         grouped = [pairs[index] for index in near[ta].pop(tb)]
-        if ta == tb:
-            live[ta] = contract_within(live[ta], grouped)
-        else:
-            live[ta] = contract_between(live[ta], live.pop(tb), grouped)
-            moved, near[tb] = near[tb], {}
-            del moved[ta]
-            for other, group in moved.items():
-                near[other].pop(tb, None)
-                other = ta if other == tb else other
-                near[ta][other] = near[other][ta] = sorted(near[ta].get(other, []) + group)
+        live[ta] = contract_between(live[ta], live.pop(tb), grouped)
+        moved, near[tb] = near[tb], {}
+        del moved[ta]
+        for other, group in moved.items():
+            near[other].pop(tb)
+            near[ta][other] = near[other][ta] = sorted(near[ta].get(other, []) + group)
         ranks[ta] = rank
         for other in near[ta]:
             heapq.heappush(heap, entry(min(ta, other), max(ta, other)))

@@ -35,6 +35,25 @@ def conjugated(t, q):
     return TqftData(d, p)
 
 
+def non_split():
+    """A = Q(sqrt 2) (+) Q, a good datum that is no conjugated diagonal
+    datum over Q: its algebra does not split over Q.
+
+    The form is Tr/2 on Q(sqrt 2), <1, 2> in the basis 1, sqrt 2, and <2>
+    on the summand Q with unit f.  As <2, 2> is isometric to <1, 1>, the
+    basis b1 = 1, b2 = (sqrt 2 + f)/2, b3 = (sqrt 2 - f)/2 is orthonormal;
+    it gives d = (1, 1, -1) and p[i,j,k] = <b_i b_j, b_k>, listed below on
+    sorted indices (every other entry follows by symmetry, absent ones are 0).
+    """
+    quarter, half = Fraction(1, 4), Fraction(1, 2)
+    sorted_p = {(0, 0, 0): 1, (0, 1, 1): half, (0, 1, 2): half, (0, 2, 2): half,
+                (1, 1, 1): quarter, (1, 2, 2): quarter,
+                (1, 1, 2): -quarter, (2, 2, 2): -quarter}
+    p = [Fraction(sorted_p.get(tuple(sorted(ijk)), 0))
+         for ijk in itertools.product(range(3), repeat=3)]
+    return TqftData([Fraction(1), Fraction(1), Fraction(-1)], p)
+
+
 def identity(n):
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 

@@ -1,6 +1,10 @@
 import hashlib
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -57,11 +61,11 @@ from tqft2d.functor import (
     random_glue_spec,
     random_surface,
 )
-from tqft2d.surface import LABEL_RE
+from tqft2d.surface import LABEL_RE, format_surface
 from tqft2d.tensor import MAX_GENUS
 
-from good_data import (conjugated, good_data, good_data_by_seed, identity, reflection,
-                       rotation)
+from good_data import (conjugated, good_data, good_data_by_seed, identity, non_split,
+                       reflection, rotation)
 
 D2 = diagonal_family([Fraction(1), Fraction(2)])
 D1_T2 = diagonal_family([Fraction(2)])
@@ -163,6 +167,14 @@ class TestPantsDecomposition:
         with pytest.raises(LabelError):
             pants_decomposition(0, 3, labels=["x"])
 
+    def test_repeated_labels_rejected(self):
+        with pytest.raises(LabelError, match="must be distinct"):
+            pants_decomposition(0, 3, labels=["a", "a", "b"])
+
+    def test_two_legged_node_rejected(self):
+        with pytest.raises(LabelError, match="exactly 3 legs"):
+            Pants(("a", "b"))
+
     @pytest.mark.parametrize("label", ["", "a b", "x'", "a-b", "\u00e9"])
     def test_bad_labels_rejected(self, label):
         with pytest.raises(LabelError, match="bad label"):
@@ -224,8 +236,7 @@ class TestPantsDecomposition:
         assert any("not connected" in v for v in disconnected.validate())
 
     # The exact validate() list for decompositions broken in each way it
-    # reports.  Each case has at most one violation per set it iterates, so
-    # the lists do not depend on the hash seed.
+    # reports.
     BROKEN = {
         "bad label": ((("a", "x y", "c"),), "ac", "",
                       ["bad label 'x y'", "unclassified label x y"]),
@@ -257,6 +268,23 @@ class TestPantsDecomposition:
         dec = PantsDecomposition(tuple(Pants(legs) for legs in nodes),
                                  frozenset(external), frozenset(internal))
         assert dec.validate() == expected
+
+    def test_violation_order_ignores_the_hash_seed(self):
+        code = ("import json\n"
+                "from tqft2d import Pants, PantsDecomposition\n"
+                "dec = PantsDecomposition((Pants(('a', 'b', 'c')),), frozenset('wxyz'),\n"
+                "                         frozenset({'c', 'q', 'r'}))\n"
+                "print(json.dumps(dec.validate()))")
+        src = os.path.dirname(os.path.dirname(functor.__file__))
+        lists = [json.loads(subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            timeout=60, env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}).stdout)
+            for seed in ("1", "2")]
+        assert lists[0] == lists[1]
+        for kind in ("external", "internal", "unclassified"):
+            mine = [v for v in lists[0] if v.startswith(kind)]
+            assert mine == sorted(mine) and mine
+        assert lists[0][:4] == [f"external label {x} occurs 0 times" for x in "wxyz"]
 
     def test_one_label_on_every_node_validates_in_linear_time(self):
         nodes = tuple(Pants(("hub", f"x{k}", f"y{k}")) for k in range(20000))
@@ -450,6 +478,11 @@ class TestExchangeMoves:
                 assert dec.genus == g
                 assert dec.boundary_count == n
 
+    def test_move_that_does_not_fit_rejected(self):
+        dec = pants_decomposition(0, 4, labels=["i", "j", "l", "m"])
+        with pytest.raises(ValueError, match="does not fit"):
+            apply_exchange(dec, (0, 1, "i", 0))
+
     def test_four_holed_sphere_regrouping(self):
         dec = pants_decomposition(0, 4, labels=["i", "j", "l", "m"])
         move = exchange_moves(dec)[0]
@@ -630,8 +663,9 @@ class TestNormalForm:
         diagonal_family([Fraction(-2)]), D2,
         diagonal_family([Fraction(2), Fraction(-1, 3), Fraction(5)]),
         diagonal_family([Fraction(1), Fraction(2), Fraction(3, 2), Fraction(-7)]),
-        ROTATED, HOUSEHOLDER4, *GOOD], ids=["diag1", "diag2", "diag3", "diag4", "rotated",
-                                            "householder4", *(f"good{k}" for k in range(12))])
+        ROTATED, HOUSEHOLDER4, non_split(), *GOOD],
+        ids=["diag1", "diag2", "diag3", "diag4", "rotated", "householder4", "non-split",
+             *(f"good{k}" for k in range(12))])
     def test_equals_the_chain_network(self, monkeypatch, data):
         assert check_relations(data).passed
         taken = []
@@ -775,6 +809,11 @@ class TestClosedInvariant:
 
     def test_diagonal_family_sums_powers(self):
         assert closed_invariant(D2, 2) == Fraction(5, 4)  # 1 + 1/4
+
+    def test_non_split_datum(self):
+        # 2 (1/2)^(1-g) + 2^(1-g): theta is 1/2 twice over R, and 2
+        assert [closed_invariant(non_split(), g) for g in range(4)] == \
+            [3, 3, Fraction(9, 2), Fraction(33, 4)]
 
     def test_negative_genus_rejected(self):
         with pytest.raises(ValueError):
@@ -1099,6 +1138,14 @@ class TestPlanner:
             assert result.indices == expected.indices
             assert result.entries == expected.entries
 
+    def test_every_pair_joins_two_tensors(self):
+        networks = [[node.legs for node in decomposition.pants]
+                    for decomposition in decompositions_up_to(5, 5)]
+        for nodes in networks + list(EXCEPTIONAL.values()):
+            tensors, pairs = _pants_network(ROTATED, nodes)
+            owner = {label: k for k, tensor in enumerate(tensors) for label in tensor.labels}
+            assert all(owner[a] != owner[b] for a, b in pairs), nodes
+
     def test_exchange_moves_match_brute_force(self):
         for decomposition in decompositions_up_to(4, 4):
             assert exchange_moves(decomposition) == brute_force_moves(decomposition)
@@ -1153,12 +1200,49 @@ class TestTensorMismatch:
         lines = _tensor_mismatch(a, b).splitlines()
         assert lines[1:] == ["at 2: 0+2i versus 0+3i", "1 of 2 entries differ"]
 
-    def test_failing_suite_detail_is_bounded(self):
+    def test_failing_suite_detail_is_bounded(self, monkeypatch):
         report = verify_decomposition_invariance(
             bad_exchange_data(), 0, 6, trials=2, seed=5, require_relations=False)
         assert report.failures
         for check in report.failures:
             assert len(check.to_text().splitlines()) <= MISMATCH_SHOWN + 2
+
+        seen = []  # every surface `invariant` is asked for, in order
+        original = functor.invariant
+
+        def recording(data, surface, **options):
+            seen.append(surface)
+            return original(data, surface, **options)
+
+        monkeypatch.setattr(functor, "invariant", recording)
+        report = verify_functoriality(bad_exchange_data(), 25, seed=0,
+                                      require_relations=False)
+        assert len(report.failures) == 5
+        assert report.failures[0].label.startswith("trial 10:")
+        for check in report.failures:
+            trial = int(check.label.split(":")[0].split()[1])
+            surface = seen[2 * trial]  # each trial asks for its surface, then the glued one
+            assert f"surface:\n{format_surface(surface)}\n" in check.detail
+            assert len(check.to_text().splitlines()) <= MISMATCH_SHOWN + 5
+
+        # No datum breaks the monoidal suite: change one entry of each union.
+        seen.clear()
+
+        def skewed(data, surface, **options):
+            tensor = recording(data, surface, **options)
+            if len(seen) % 3 != 1:  # each trial asks for the union, then its two parts
+                return tensor
+            entries = list(tensor.entries)
+            entries[-1] += 1
+            return LabeledTensor(tensor.indices, entries, tensor.backend)
+
+        monkeypatch.setattr(functor, "invariant", skewed)
+        report = verify_monoidal(D2, 6, seed=0)
+        assert len(report.failures) == 6
+        for trial, check in enumerate(report.failures):
+            union = seen[3 * trial]
+            assert f"surfaces:\n{format_surface(union)}\n" in check.detail
+            assert len(check.to_text().splitlines()) <= MISMATCH_SHOWN + 5
 
     def test_failing_moves_line_does_not_grow_with_the_pants(self):
         def first_failure(n):

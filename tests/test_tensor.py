@@ -101,6 +101,13 @@ class TestContract:
         with pytest.raises(LabelError):
             rational("+a -b", 2, [1, 2, 3, 4]).contract("a", "zz")
 
+    def test_label_in_two_pairs_rejected(self):
+        with pytest.raises(LabelError, match="repeated across contraction pairs"):
+            contract_within(rational("+a -b +c", 2, range(8)), [("a", "b"), ("b", "c")])
+        with pytest.raises(LabelError, match="repeated across contraction pairs"):
+            contract_between(rational("+a +b", 2, range(4)), rational("-x", 2, range(2)),
+                             [("a", "x"), ("b", "x")])
+
     def test_pair_order_is_immaterial(self):
         t = rational("+a -b +c", 2, range(8))
         assert t.contract("a", "b") == t.contract("b", "a")
@@ -152,6 +159,10 @@ class TestFlipAndConjugate:
         t = rational("+a -b", 2, [1, 2, 3, 4])
         got = t.flip_signs(["b"])
         assert [ix.sign for ix in got.indices] == [PLUS, PLUS]
+
+    def test_flip_of_an_unknown_label_rejected(self):
+        with pytest.raises(LabelError, match="no index labelled"):
+            rational("+a -b", 2, [1, 2, 3, 4]).flip_signs(["zz"])
 
     def test_conjugate_is_identity_on_rationals(self):
         t = rational("+a", 2, [1, 2])
@@ -227,7 +238,8 @@ class TestValidatingConstructor:
         (idx("+a", 2) + idx("-b", 3), [0] * 6, None, DimensionError),
         (idx("+a", 0), [], None, DimensionError),
         (idx("+a", 2), ["1", 2], COMPLEX, BackendError),
-    ], ids=["mixed dimensions", "dimension 0", "string in complex"])
+        (idx("+a", 2), [1, 2], "quaternion", BackendError),
+    ], ids=["mixed dimensions", "dimension 0", "string in complex", "unknown backend"])
     def test_bad_input_raises(self, indices, entries, backend, error):
         with pytest.raises(error):
             LabeledTensor(indices, entries, backend)

@@ -34,7 +34,7 @@ import tqft2d.tqft as tqft_module
 from tqft2d.tensor import MAX_ENTRIES, SCALAR_SHOWN, contract_between, contract_within
 from tqft2d.tqft import RELATION_NAMES
 
-from good_data import conjugated, good_data, nonzero_values, random_rotation
+from good_data import conjugated, good_data, non_split, nonzero_values, random_rotation
 
 
 def symmetric_p(n, assignments):
@@ -107,6 +107,11 @@ class TestCheckRelations:
         assert report["disk_absorption"].max_violation == 1  # |2 - 1|
         assert report["exchange"].passed and report["symmetry"].passed
         assert not report.passed
+
+    def test_unknown_relation_name_rejected(self):
+        report = check_relations(TqftData([Fraction(1)], [Fraction(1)]))
+        with pytest.raises(KeyError):
+            report["nope"]
 
     def test_overall_iff_all_four(self):
         good = check_relations(diagonal_family([2, 3]))
@@ -258,6 +263,7 @@ class TestRelationCache:
         rng = random.Random("cache-good")
         for _ in range(10):
             yield good_data(rng)
+        yield non_split()
 
     @pytest.mark.parametrize("order", [1, -1], ids=["ascending", "descending"])
     def test_cached_report_matches_a_fresh_check(self, order):
@@ -570,6 +576,10 @@ class TestDiagonalFamily:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             diagonal_family([Fraction(1), Fraction(0)])
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            diagonal_family([])
 
     def test_many_random_vectors_pass_relations(self):
         rng = random.Random(9)
